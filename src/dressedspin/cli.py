@@ -20,7 +20,7 @@ from .analysis import (
     synthetic_calibration_data,
 )
 from .config import validate
-from .configfile import apply_overrides, load_config
+from .configfile import _KHZ, apply_overrides, load_config
 from .effective import floquet_first_order, rectified_field
 from .errors import (
     ConfigFileError,
@@ -28,15 +28,10 @@ from .errors import (
     DegenerateData,
     DressedSpinError,
     FitDiverged,
-    NoConvergence,
-    NoOscillation,
-    SeriesNotConverged,
-    UnitarityLost,
 )
 from .propagate import analytic_coherences, propagate_spin_half, propagate_bloch_spin1
 
 CSV_SCHEMA = "dressedspin-csv v1"
-_KHZ = 2.0 * math.pi * 1e3
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -318,9 +313,6 @@ def main(argv=None) -> int:
     except (ConfigurationError, ConfigFileError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NoConvergence, UnitarityLost, SeriesNotConverged, NoOscillation) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
     except (FitDiverged, DegenerateData) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_FIT

@@ -40,6 +40,7 @@ from .errors import ConfigFileError
 
 __all__ = ["load_config", "parse_config_text", "apply_overrides"]
 
+# rad/s per kHz of ordinary frequency (value = omega/2pi); the CLI uses it too.
 _KHZ = 2.0 * math.pi * 1e3
 
 

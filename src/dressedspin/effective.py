@@ -93,11 +93,14 @@ class FloquetFirstOrder:
         return self.omega * float(np.max(np.abs(eig.imag)))
 
 
+def _eta(bundle) -> float:
+    """max(|omega0_j|/omega, tuning amplitudes/omega) of a dimensionless bundle."""
+    return max([abs(v) for v in bundle.w0] + [t.strength for t in bundle.tuning], default=0.0)
+
+
 def perturbative_eta(config: DriveConfiguration) -> float:
     """max(|omega0_j|/omega, tuning amplitudes/omega) validity diagnostic."""
-    b = dimensionless(config)
-    vals = [abs(v) for v in b.w0] + [t.strength for t in b.tuning]
-    return max(vals) if vals else 0.0
+    return _eta(dimensionless(config))
 
 
 def rectified_field(config: DriveConfiguration) -> EffectiveField:
@@ -127,8 +130,7 @@ def rectified_field(config: DriveConfiguration) -> EffectiveField:
             else:
                 hy -= jm * comp.amplitude * math.sin(comp.phase)
         # axis == "x": zero period average, nothing to add
-    eta = max([abs(v) for v in b.w0] + [t.strength for t in b.tuning], default=0.0)
-    return EffectiveField.from_components(hx, hy, hz, eta)
+    return EffectiveField.from_components(hx, hy, hz, _eta(b))
 
 
 def larmor_frequency(config: DriveConfiguration) -> float:

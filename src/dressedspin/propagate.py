@@ -4,7 +4,10 @@ The full bichromatic drive is integrated with a classical fixed-step RK4
 scheme under global step-halving control: the whole calculation is repeated
 with doubled step count until the result moves by less than ``rel_tol``.
 No renormalisation is applied during integration -- norm drift is the error
-diagnostic, not something to hide.
+diagnostic, not something to hide.  Step sizes and node times of a whole
+integration are laid out up front, and the generator stacks A(tau) at the
+RK4 nodes are built per block of at most 2048 steps, so memory stays flat
+however many steps an integration takes.
 
 All drive terms share the dressing period, so the propagator over one period
 (the monodromy matrix) determines the evolution at any later time exactly:
@@ -41,6 +44,9 @@ _ALIAS_TOL = 1e-3
 
 # Spin-1 propagation is norm-conserving physics; drift beyond this is a bug.
 _BLOCH_NORM_TOL = 1e-9
+
+# Steps per generator-stack block (see the module docstring).
+_BLOCK_STEPS = 2048
 
 _SIGMA_HALF = (-0.5j * PAULI_X, -0.5j * PAULI_Y, -0.5j * PAULI_Z)
 _GEN_ONE = (L_X, L_Y, L_Z)
@@ -125,28 +131,36 @@ def _integrate_targets(bundle, spin, targets, base_step):
     base_step, so every target is hit exactly.  Returns the propagator at
     each target.
     """
+    targets = np.asarray(targets, dtype=float)
+    prevs = np.concatenate(([0.0], targets))[:-1]
+    gaps = targets - prevs
+    ms = np.where(gaps > 0.0, np.maximum(1, np.ceil(gaps / base_step - 1e-12)), 0).astype(np.int64)
+    h_gap = gaps / np.maximum(ms, 1)
+    # node time of every step, gap by gap: prev + hs * (step index in its gap)
+    local = np.arange(int(ms.sum())) - np.repeat(np.cumsum(ms) - ms, ms)
+    h_step = np.repeat(h_gap, ms)
+    t0 = np.repeat(prevs, ms) + h_step * local
+
     dim = 2 if spin == "half" else 3
     dtype = complex if spin == "half" else float
     U = np.eye(dim, dtype=dtype)
     out = []
-    prev = 0.0
-    for target in targets:
-        gap = target - prev
-        if gap > 0.0:
-            m = max(1, int(math.ceil(gap / base_step - 1e-12)))
-            hs = gap / m
-            t0 = prev + hs * np.arange(m)
-            a0 = _generator_stack(bundle, t0, spin)
-            ah = _generator_stack(bundle, t0 + 0.5 * hs, spin)
-            a1 = _generator_stack(bundle, t0 + hs, spin)
-            for j in range(m):
-                k1 = a0[j] @ U
-                k2 = ah[j] @ (U + (0.5 * hs) * k1)
-                k3 = ah[j] @ (U + (0.5 * hs) * k2)
-                k4 = a1[j] @ (U + hs * k3)
-                U = U + (hs / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    g = 0  # global step index
+    for m, hs in zip(ms.tolist(), h_gap.tolist()):
+        for _ in range(m):
+            j = g % _BLOCK_STEPS
+            if j == 0:
+                t, h = t0[g : g + _BLOCK_STEPS], h_step[g : g + _BLOCK_STEPS]
+                a0 = _generator_stack(bundle, t, spin)
+                ah = _generator_stack(bundle, t + 0.5 * h, spin)
+                a1 = _generator_stack(bundle, t + h, spin)
+            k1 = a0[j] @ U
+            k2 = ah[j] @ (U + (0.5 * hs) * k1)
+            k3 = ah[j] @ (U + (0.5 * hs) * k2)
+            k4 = a1[j] @ (U + hs * k3)
+            U = U + (hs / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            g += 1
         out.append(U.copy())
-        prev = target
     return out
 
 
@@ -174,25 +188,25 @@ def _sampled_series(bundle, spin, times, psi0, steps_per_period):
     ks[wrap] += 1
     ss[wrap] -= TWO_PI
 
-    unique_s = np.unique(ss)
+    unique_s, s_idx = np.unique(ss, return_inverse=True)
     targets = list(unique_s)
     if not targets or targets[-1] < TWO_PI:
         targets.append(TWO_PI)
     mats = _integrate_targets(bundle, spin, targets, TWO_PI / steps_per_period)
     monodromy = mats[-1]
-    lookup = {s: mats[i] for i, s in enumerate(unique_s)}
 
-    states = np.empty((len(taus), psi0.shape[0]), dtype=monodromy.dtype)
+    # M^k psi0 once per period index k, then every state in one stacked matmul
+    unique_k, k_idx = np.unique(ks, return_inverse=True)
     power = np.eye(monodromy.shape[0], dtype=monodromy.dtype)
     k_cur = 0
-    order = np.argsort(ks, kind="stable")
-    for idx in order:
-        k = int(ks[idx])
+    mk_psi0 = []
+    for k in unique_k.tolist():
         while k_cur < k:
             power = monodromy @ power
             k_cur += 1
-        states[idx] = lookup[ss[idx]] @ (power @ psi0)
-    return states
+        mk_psi0.append(power @ psi0)
+    partial = np.stack(mats[: len(unique_s)])
+    return np.matmul(partial[s_idx], np.stack(mk_psi0)[k_idx][:, :, None])[:, :, 0]
 
 
 def _coherences_from_states(states, spin):

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from dressedspin import cli
 from dressedspin.cli import main
+from dressedspin.errors import NoConvergence
 from dressedspin.special import bessel_j
 
 from conftest import KHZ
@@ -113,6 +115,16 @@ def test_simulate_both_methods_agree(tmp_path):
 def test_simulate_rejects_single_sample(tmp_path, capsys):
     cfg = _write(tmp_path, "small.cfg", SMALL_ETA_CFG)
     assert main(["simulate", cfg, "--t-end", "0.01", "--samples", "1"]) == 2
+
+
+def test_simulate_numeric_failure_exits_3(tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise NoConvergence("forced")
+
+    monkeypatch.setattr(cli, "propagate_spin_half", fail)
+    cfg = _write(tmp_path, "small.cfg", SMALL_ETA_CFG)
+    assert main(["simulate", cfg, "--t-end", "0.001", "--samples", "16", "--method", "numeric"]) == 3
+    assert "error: NoConvergence: forced" in capsys.readouterr().err
 
 
 def test_simulate_zero_drive(tmp_path):

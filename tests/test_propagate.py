@@ -1,8 +1,12 @@
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
+from dressedspin import propagate
+from dressedspin.config import dimensionless, validate
+from dressedspin.configfile import apply_overrides, load_config
 from dressedspin.effective import larmor_frequency, rectified_field
 from dressedspin.special import bessel_j
 from dressedspin.errors import NoConvergence, UnitarityLost
@@ -21,6 +25,8 @@ from conftest import KHZ, make_config
 
 J0_ROOT = 2.404825557695773
 TWO_PI = 2 * math.pi
+CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
+SHIPPED = ("anisotropy", "collapse", "even-harmonic", "odd-harmonic")
 
 
 def test_integrator_control_validation():
@@ -230,3 +236,102 @@ def test_scaled_anisotropy_config_agrees_with_numerics():
     num = propagate_spin_half(cfg, t_end, 4096)
     ana = analytic_coherences(cfg, t_end, 4096)
     assert float(np.sqrt(np.mean((ana.sx - num.sx) ** 2))) <= 0.02
+
+
+def _shipped(name, spin):
+    return validate(apply_overrides(load_config(CONFIGS / f"{name}.cfg"), [f"spin={spin}"]))
+
+
+def _reference_integrate_targets(bundle, spin, targets, base_step):
+    """Per-gap RK4 loop that builds the generator stacks for every gap.
+
+    The package lays the steps out up front and builds the stacks per block;
+    the arithmetic of each step is the same, so results must match bit for bit.
+    """
+    dim = 2 if spin == "half" else 3
+    dtype = complex if spin == "half" else float
+    U = np.eye(dim, dtype=dtype)
+    out = []
+    prev = 0.0
+    for target in targets:
+        gap = target - prev
+        if gap > 0.0:
+            m = max(1, int(math.ceil(gap / base_step - 1e-12)))
+            hs = gap / m
+            t0 = prev + hs * np.arange(m)
+            a0 = propagate._generator_stack(bundle, t0, spin)
+            ah = propagate._generator_stack(bundle, t0 + 0.5 * hs, spin)
+            a1 = propagate._generator_stack(bundle, t0 + hs, spin)
+            for j in range(m):
+                k1 = a0[j] @ U
+                k2 = ah[j] @ (U + (0.5 * hs) * k1)
+                k3 = ah[j] @ (U + (0.5 * hs) * k2)
+                k4 = a1[j] @ (U + hs * k3)
+                U = U + (hs / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out.append(U.copy())
+        prev = target
+    return out
+
+
+def _reference_sampled_series(bundle, spin, taus, psi0, steps_per_period):
+    """Sample-by-sample assembly of U(s) M^k psi0 over the reference integrator."""
+    ks = np.floor(taus / TWO_PI).astype(np.int64)
+    ss = taus - TWO_PI * ks
+    wrap = ss >= TWO_PI
+    ks[wrap] += 1
+    ss[wrap] -= TWO_PI
+    unique_s = np.unique(ss)
+    targets = list(unique_s)
+    if targets[-1] < TWO_PI:
+        targets.append(TWO_PI)
+    mats = _reference_integrate_targets(bundle, spin, targets, TWO_PI / steps_per_period)
+    monodromy = mats[-1]
+    lookup = {s: mats[i] for i, s in enumerate(unique_s)}
+    states = np.empty((len(taus), psi0.shape[0]), dtype=monodromy.dtype)
+    power = np.eye(monodromy.shape[0], dtype=monodromy.dtype)
+    k_cur = 0
+    for idx in np.argsort(ks, kind="stable"):
+        while k_cur < ks[idx]:
+            power = monodromy @ power
+            k_cur += 1
+        states[idx] = lookup[ss[idx]] @ (power @ psi0)
+    return states
+
+
+@pytest.mark.parametrize("spin", ["half", "one"])
+def test_integrate_targets_matches_per_gap_reference(spin):
+    bundle = dimensionless(_shipped("odd-harmonic", spin))
+    base_step = TWO_PI / 4096
+    # tau = 0, a repeated target, a gap shorter than one step, a gap of more
+    # than one block of steps (a block boundary falls inside it), and 2 pi
+    targets = [0.0, 0.0, 1e-5, 1e-5, 4.0, 4.0 + 1e-4, TWO_PI]
+    assert (4.0 - 1e-5) / base_step > propagate._BLOCK_STEPS
+    got = propagate._integrate_targets(bundle, spin, targets, base_step)
+    want = _reference_integrate_targets(bundle, spin, targets, base_step)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("spin", ["half", "one"])
+def test_sampled_series_matches_per_sample_reference(spin):
+    cfg = _shipped("even-harmonic", spin)
+    bundle = dimensionless(cfg)
+    taus = np.linspace(0.0, 5e-3, 301) * cfg.dressing.omega  # about 50 periods
+    if spin == "half":
+        psi0 = np.array([1.0, 1.0j], dtype=complex) / math.sqrt(2.0)
+    else:
+        psi0 = np.array([0.6, 0.0, 0.8])
+    got = propagate._sampled_series(bundle, spin, taus, psi0, 512)
+    want = _reference_sampled_series(bundle, spin, taus, psi0, 512)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("spin", ["half", "one"])
+@pytest.mark.parametrize("name", SHIPPED)
+def test_monodromy_matches_per_gap_reference(name, spin, monkeypatch):
+    cfg = _shipped(name, spin)
+    got = monodromy_quasienergy(cfg)
+    monkeypatch.setattr(propagate, "_integrate_targets", _reference_integrate_targets)
+    assert got == monodromy_quasienergy(cfg)
