@@ -23,8 +23,8 @@ from .propagate import (
     CoherenceSeries,
     IntegratorControl,
     monodromy_quasienergy,
-    propagate_bloch_spin1,
     propagate_spin_half,
+    quasienergy_candidates,
 )
 from .special import bessel_j
 
@@ -239,23 +239,14 @@ def _apply_branch_continuity(rows, omega, spin):
     sign; walk the grid and replace each raw value by the alias candidate
     closest to its resolved neighbour.
     """
-    step = 2.0 * omega if spin == "half" else omega
     prev = None
     out = []
     for row in rows:
-        if row.monodromy is None:
-            out.append(row)
-            continue
-        x = row.monodromy
-        if prev is not None:
-            best = x
-            for k in range(0, 4):
-                for cand in (k * step + x, (k + 1) * step - x):
-                    if abs(cand - prev) < abs(best - prev):
-                        best = cand
-            if best != x:
-                row = replace(row, monodromy=best)
-        prev = row.monodromy
+        if row.monodromy is not None:
+            if prev is not None:
+                cands = quasienergy_candidates(row.monodromy, omega, spin)
+                row = replace(row, monodromy=min(cands, key=lambda c: abs(c - prev)))
+            prev = row.monodromy
         out.append(row)
     return out
 

@@ -25,7 +25,7 @@ import math
 import numpy as np
 
 from .config import DriveConfiguration, dimensionless
-from .special import SeriesControl, DEFAULT_SERIES, bessel_j, f_aux
+from .special import SeriesControl, DEFAULT_SERIES, bessel_j, f_aux, g_func
 
 __all__ = [
     "EffectiveField",
@@ -159,12 +159,14 @@ def _p1_vector(bundle, tau, ctl: SeriesControl):
         if t.axis == "x":
             m = t.harmonic
             vx += t.strength * (math.sin(m * tau + t.phase) - math.sin(t.phase)) / m
-        elif t.axis == "y":
-            vy += t.strength * f_aux(3, tau, bundle.xi, t.harmonic, t.phase, ctl)
-            vz -= t.strength * f_aux(4, tau, bundle.xi, t.harmonic, t.phase, ctl)
+            continue
+        g = g_func(tau, bundle.xi, t.harmonic, t.phase, ctl)  # f3 = g.real, f4 = g.imag
+        if t.axis == "y":
+            vy += t.strength * g.real
+            vz -= t.strength * g.imag
         else:
-            vy += t.strength * f_aux(4, tau, bundle.xi, t.harmonic, t.phase, ctl)
-            vz += t.strength * f_aux(3, tau, bundle.xi, t.harmonic, t.phase, ctl)
+            vy += t.strength * g.imag
+            vz += t.strength * g.real
     return vx, vy, vz
 
 
@@ -179,7 +181,8 @@ def floquet_first_order(
     the rotation generator h.L/omega.  P1 is evaluated on tau_grid (default:
     129 points over one period) from the periodic remainders f1..f4, and its
     largest spectral norm is returned as a size diagnostic for the
-    exp(-i P1) ~ identity approximation.
+    exp(-i P1) ~ identity approximation.  P1 = v.sigma/2 or v.L, so that
+    norm is |v|/2 (spin half) or |v| (spin one).
 
     When every field vanishes, Lambda1 = 0: its eigenbasis is unspecified
     (there is no precession axis), only the zero eigenvalues are meaningful.
@@ -195,12 +198,8 @@ def floquet_first_order(
 
     if tau_grid is None:
         tau_grid = np.linspace(0.0, 2.0 * math.pi, 129)
-    p1_max = 0.0
+    v_max = 0.0
     for tau in np.asarray(tau_grid, dtype=float):
-        vx, vy, vz = _p1_vector(b, float(tau), ctl)
-        if b.spin == "half":
-            mat = 0.5 * (vx * PAULI_X + vy * PAULI_Y + vz * PAULI_Z)
-        else:
-            mat = vx * L_X + vy * L_Y + vz * L_Z
-        p1_max = max(p1_max, float(np.linalg.norm(mat, 2)))
+        v_max = max(v_max, math.hypot(*_p1_vector(b, float(tau), ctl)))
+    p1_max = 0.5 * v_max if b.spin == "half" else v_max
     return FloquetFirstOrder(lambda1=lambda1, p1_norm_max=p1_max, spin=b.spin, omega=w)

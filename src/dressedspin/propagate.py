@@ -9,6 +9,10 @@ integration are laid out up front, and the generator stacks A(tau) at the
 RK4 nodes are built per block of at most 2048 steps, so memory stays flat
 however many steps an integration takes.
 
+Only the spin-half (SU(2)) propagator U is integrated.  The spin-one
+dynamics dM/dt = B x M is its rotation image R_ij = tr(sigma_i U sigma_j
+U^dagger)/2, so every spin-one result is derived from U.
+
 All drive terms share the dressing period, so the propagator over one period
 (the monodromy matrix) determines the evolution at any later time exactly:
 U(k*T + s) = U(s) * M^k.  Long coherence series therefore cost one period of
@@ -21,7 +25,7 @@ import math
 import numpy as np
 
 from .config import DriveConfiguration, dimensionless
-from .effective import L_X, L_Y, L_Z, PAULI_X, PAULI_Y, PAULI_Z, rectified_field
+from .effective import PAULI_X, PAULI_Y, PAULI_Z, rectified_field
 from .errors import NoConvergence, UnitarityLost
 
 __all__ = [
@@ -48,8 +52,7 @@ _BLOCH_NORM_TOL = 1e-9
 # Steps per generator-stack block (see the module docstring).
 _BLOCK_STEPS = 2048
 
-_SIGMA_HALF = (-0.5j * PAULI_X, -0.5j * PAULI_Y, -0.5j * PAULI_Z)
-_GEN_ONE = (L_X, L_Y, L_Z)
+_PAULI = np.stack((PAULI_X, PAULI_Y, PAULI_Z))
 
 
 @dataclass(frozen=True)
@@ -101,8 +104,8 @@ class QuasiEnergy:
     monodromy_unitarity_error: float
 
 
-def _generator_stack(bundle, taus, spin):
-    """dU/dtau generator A(tau) at each tau: -i H for spin half, b.L for spin one."""
+def _generator_stack(bundle, taus):
+    """dU/dtau generator A(tau) = -i b(tau).sigma/2 at each tau."""
     taus = np.asarray(taus, dtype=float)
     bx = np.full_like(taus, bundle.w0[0])
     by = np.full_like(taus, bundle.w0[1])
@@ -116,7 +119,7 @@ def _generator_stack(bundle, taus, spin):
             by += drive
         else:
             bz += drive
-    gx, gy, gz = _SIGMA_HALF if spin == "half" else _GEN_ONE
+    gx, gy, gz = -0.5j * _PAULI
     return (
         bx[:, None, None] * gx[None, :, :]
         + by[:, None, None] * gy[None, :, :]
@@ -124,7 +127,12 @@ def _generator_stack(bundle, taus, spin):
     )
 
 
-def _integrate_targets(bundle, spin, targets, base_step):
+def _rotation(u):
+    """SO(3) image R_ij = tr(sigma_i U sigma_j U^dagger)/2 of a 2x2 propagator."""
+    return 0.5 * np.einsum("iab,jba->ij", _PAULI, u @ _PAULI @ u.conj().T).real
+
+
+def _integrate_targets(bundle, targets, base_step):
     """RK4-propagate dU/dtau = A(tau) U from tau = 0 through ascending targets.
 
     Within each gap the step divides the gap evenly and never exceeds
@@ -141,9 +149,7 @@ def _integrate_targets(bundle, spin, targets, base_step):
     h_step = np.repeat(h_gap, ms)
     t0 = np.repeat(prevs, ms) + h_step * local
 
-    dim = 2 if spin == "half" else 3
-    dtype = complex if spin == "half" else float
-    U = np.eye(dim, dtype=dtype)
+    U = np.eye(2, dtype=complex)
     out = []
     g = 0  # global step index
     for m, hs in zip(ms.tolist(), h_gap.tolist()):
@@ -151,9 +157,9 @@ def _integrate_targets(bundle, spin, targets, base_step):
             j = g % _BLOCK_STEPS
             if j == 0:
                 t, h = t0[g : g + _BLOCK_STEPS], h_step[g : g + _BLOCK_STEPS]
-                a0 = _generator_stack(bundle, t, spin)
-                ah = _generator_stack(bundle, t + 0.5 * h, spin)
-                a1 = _generator_stack(bundle, t + h, spin)
+                a0 = _generator_stack(bundle, t)
+                ah = _generator_stack(bundle, t + 0.5 * h)
+                a1 = _generator_stack(bundle, t + h)
             k1 = a0[j] @ U
             k2 = ah[j] @ (U + (0.5 * hs) * k1)
             k3 = ah[j] @ (U + (0.5 * hs) * k2)
@@ -167,20 +173,20 @@ def _integrate_targets(bundle, spin, targets, base_step):
 def propagator_at(config: DriveConfiguration, tau_points, steps_per_period: int = 512):
     """Propagator of the full drive at the given ascending tau points.
 
-    Spin model chosen by config.spin.  Utility for consistency checks; the
+    Spin model chosen by config.spin: the 2x2 U for spin half, its 3x3
+    rotation image for spin one.  Utility for consistency checks; the
     high-level entry points below add step-halving convergence control.
     """
     bundle = dimensionless(config)
     pts = [float(t) for t in tau_points]
     if any(b < a for a, b in zip(pts, pts[1:])) or (pts and pts[0] < 0.0):
         raise ValueError("tau_points must be ascending and >= 0")
-    return _integrate_targets(bundle, bundle.spin, pts, TWO_PI / steps_per_period)
+    mats = _integrate_targets(bundle, pts, TWO_PI / steps_per_period)
+    return mats if bundle.spin == "half" else [_rotation(u) for u in mats]
 
 
-def _sampled_series(bundle, spin, times, psi0, steps_per_period):
-    """Evaluate the state at each time via the one-period factorisation."""
-    omega = 1.0  # times are already in tau units here
-    taus = np.asarray(times, dtype=float) * omega
+def _sampled_series(bundle, taus, psi0, steps_per_period):
+    """Evaluate the state at each tau via the one-period factorisation."""
     ks = np.floor(taus / TWO_PI).astype(np.int64)
     ss = taus - TWO_PI * ks
     # guard against s == 2*pi from floating roundoff
@@ -192,12 +198,12 @@ def _sampled_series(bundle, spin, times, psi0, steps_per_period):
     targets = list(unique_s)
     if not targets or targets[-1] < TWO_PI:
         targets.append(TWO_PI)
-    mats = _integrate_targets(bundle, spin, targets, TWO_PI / steps_per_period)
+    mats = _integrate_targets(bundle, targets, TWO_PI / steps_per_period)
     monodromy = mats[-1]
 
     # M^k psi0 once per period index k, then every state in one stacked matmul
     unique_k, k_idx = np.unique(ks, return_inverse=True)
-    power = np.eye(monodromy.shape[0], dtype=monodromy.dtype)
+    power = np.eye(2, dtype=complex)
     k_cur = 0
     mk_psi0 = []
     for k in unique_k.tolist():
@@ -209,25 +215,23 @@ def _sampled_series(bundle, spin, times, psi0, steps_per_period):
     return np.matmul(partial[s_idx], np.stack(mk_psi0)[k_idx][:, :, None])[:, :, 0]
 
 
-def _coherences_from_states(states, spin):
-    if spin == "half":
-        a, b = states[:, 0], states[:, 1]
-        cross = np.conj(a) * b
-        sx = 2.0 * cross.real
-        sy = 2.0 * cross.imag
-        sz = (np.abs(a) ** 2 - np.abs(b) ** 2).real
-        norms = np.sqrt(np.abs(a) ** 2 + np.abs(b) ** 2)
-        return sx, sy, sz, norms
-    sx, sy, sz = states[:, 0], states[:, 1], states[:, 2]
-    norms = np.sqrt(sx * sx + sy * sy + sz * sz)
+def _coherences_from_states(states):
+    a, b = states[:, 0], states[:, 1]
+    cross = np.conj(a) * b
+    sx = 2.0 * cross.real
+    sy = 2.0 * cross.imag
+    sz = (np.abs(a) ** 2 - np.abs(b) ** 2).real
+    norms = np.sqrt(np.abs(a) ** 2 + np.abs(b) ** 2)
     return sx, sy, sz, norms
 
 
-def _propagate(config, t_end, samples, psi0, ctl, spin, norm_tol):
+def _propagate(config, t_end, samples, psi0, ctl, norm_tol, m_norm=None):
     """Step-halve until the sampled series settles AND the norm drift is
     within norm_tol (relative to the initial norm); long runs accumulate
     drift through the monodromy powers, so conservation is part of the
-    convergence criterion rather than an afterthought."""
+    convergence criterion rather than an afterthought.  Given m_norm, the
+    series is a spin-one M = <sigma> with |M(0)| = m_norm, and the drift is
+    measured on |M| rather than on |psi|."""
     if not t_end > 0.0:
         raise ValueError("t_end must be > 0")
     if samples < 2:
@@ -236,23 +240,25 @@ def _propagate(config, t_end, samples, psi0, ctl, spin, norm_tol):
     omega = config.dressing.omega
     times = np.linspace(0.0, t_end, samples)
     taus = times * omega
-    norm0 = float(np.linalg.norm(psi0))
+    norm0 = float(np.linalg.norm(psi0)) if m_norm is None else m_norm
 
     steps = ctl.steps_per_period
-    states = _sampled_series(bundle, spin, taus, psi0, steps)
-    prev = np.column_stack(_coherences_from_states(states, spin)[:3])
+    states = _sampled_series(bundle, taus, psi0, steps)
+    prev = np.column_stack(_coherences_from_states(states)[:3])
     err = math.inf
     drift = math.inf
     for _ in range(ctl.max_refinements):
         steps *= 2
-        states = _sampled_series(bundle, spin, taus, psi0, steps)
-        sx, sy, sz, norms = _coherences_from_states(states, spin)
+        states = _sampled_series(bundle, taus, psi0, steps)
+        sx, sy, sz, norms = _coherences_from_states(states)
+        if m_norm is not None:
+            norms = np.sqrt(sx * sx + sy * sy + sz * sz)
         cur = np.column_stack((sx, sy, sz))
         err = float(np.max(np.abs(cur - prev)))
         scale = max(1.0, float(np.max(np.abs(cur))))
         drift = float(np.max(np.abs(norms / norm0 - 1.0)))
         if err <= ctl.rel_tol * scale and drift <= norm_tol:
-            return times, sx, sy, sz, norms
+            return times, sx, sy, sz
         prev = cur
     if drift > norm_tol:
         raise UnitarityLost(
@@ -284,9 +290,7 @@ def propagate_spin_half(
         psi0 = np.asarray(initial, dtype=complex).reshape(2)
         if abs(np.linalg.norm(psi0) - 1.0) > 1e-9:
             raise ValueError("initial state must be a unit vector")
-    times, sx, sy, sz, _ = _propagate(
-        config, t_end, samples, psi0, ctl, "half", ctl.unitarity_drift_limit
-    )
+    times, sx, sy, sz = _propagate(config, t_end, samples, psi0, ctl, ctl.unitarity_drift_limit)
     return CoherenceSeries(times=times, sx=sx, sy=sy, sz=sz, source="numeric")
 
 
@@ -297,10 +301,12 @@ def propagate_bloch_spin1(
     initial=None,
     ctl: IntegratorControl = DEFAULT_INTEGRATOR,
 ) -> CoherenceSeries:
-    """Integrate dM/dt = (drive field) x M for the spin-one magnetisation.
+    """Sample the spin-one magnetisation M(t) of dM/dt = (drive field) x M.
 
-    Requires config.spin == "one".  |M(t)| must stay within 1e-9 relative of
-    |M(0)|; larger drift raises UnitarityLost.
+    Requires config.spin == "one".  M(t) = R(t) M(0), R the rotation image of
+    the spin-half propagator, is <sigma> of the spinor that starts as
+    sqrt(|M(0)|) times the +1 eigenstate of M(0).sigma.  |M(t)| must stay
+    within 1e-9 relative of |M(0)|; larger drift raises UnitarityLost.
     """
     if config.spin != "one":
         raise ValueError("propagate_bloch_spin1 requires a spin='one' configuration")
@@ -308,19 +314,22 @@ def propagate_bloch_spin1(
         m0 = np.array([1.0, 0.0, 0.0])
     else:
         m0 = np.asarray(initial, dtype=float).reshape(3)
-        if not np.linalg.norm(m0) > 0.0:
-            raise ValueError("initial magnetisation must be nonzero")
+    m_norm = float(np.linalg.norm(m0))
+    if not m_norm > 0.0:
+        raise ValueError("initial magnetisation must be nonzero")
+    psi0 = math.sqrt(m_norm) * np.linalg.eigh(np.tensordot(m0, _PAULI, 1))[1][:, 1]
     norm_tol = min(_BLOCH_NORM_TOL, ctl.unitarity_drift_limit)
-    times, mx, my, mz, _ = _propagate(config, t_end, samples, m0, ctl, "one", norm_tol)
+    times, mx, my, mz = _propagate(config, t_end, samples, psi0, ctl, norm_tol, m_norm)
     return CoherenceSeries(times=times, sx=mx, sy=my, sz=mz, source="numeric")
 
 
-def _quasienergy_once(bundle, spin, omega, steps):
-    mono = _integrate_targets(bundle, spin, [TWO_PI], TWO_PI / steps)[0]
-    gram = mono.conj().T @ mono if spin == "half" else mono.T @ mono
+def _quasienergy_once(bundle, omega, steps):
+    u = _integrate_targets(bundle, [TWO_PI], TWO_PI / steps)[0]
+    mono = u if bundle.spin == "half" else _rotation(u)
+    gram = mono.conj().T @ mono
     unit_err = float(np.linalg.norm(gram - np.eye(gram.shape[0]), 2))
     angles = np.angle(np.linalg.eigvals(mono))
-    if spin == "half":
+    if bundle.spin == "half":
         theta = float(np.mean(np.abs(angles)))  # phases come as ~(+t, -t)
         return theta, theta * omega / math.pi, unit_err
     theta = float(np.max(np.abs(angles)))  # spectrum {1, exp(+-i theta)}
@@ -341,10 +350,10 @@ def monodromy_quasienergy(
     bundle = dimensionless(config)
     omega = config.dressing.omega
     steps = ctl.steps_per_period
-    theta, om_prev, unit_err = _quasienergy_once(bundle, bundle.spin, omega, steps)
+    theta, om_prev, unit_err = _quasienergy_once(bundle, omega, steps)
     for _ in range(ctl.max_refinements):
         steps *= 2
-        theta, om_cur, unit_err = _quasienergy_once(bundle, bundle.spin, omega, steps)
+        theta, om_cur, unit_err = _quasienergy_once(bundle, omega, steps)
         if abs(om_cur - om_prev) <= ctl.rel_tol * omega:
             if unit_err > ctl.unitarity_drift_limit:
                 raise UnitarityLost(f"monodromy unitarity error {unit_err:.3e}")
@@ -360,14 +369,13 @@ def monodromy_quasienergy(
     )
 
 
-def quasienergy_candidates(qe: QuasiEnergy, omega: float, spin: str = "half", k_max: int = 3):
+def quasienergy_candidates(x: float, omega: float, spin: str = "half", k_max: int = 3):
     """All frequencies consistent with the measured eigenphase (aliasing).
 
-    For spin half the pair {+-theta} fixes Omega_L only up to
-    {x, 2*omega*k +- x}; for spin one up to {x, omega*k +- x}.
+    For spin half the pair {+-theta} fixes the monodromy value x only up
+    to {x, 2*omega*k +- x}; for spin one up to {x, omega*k +- x}.
     """
     step = 2.0 * omega if spin == "half" else omega
-    x = qe.omega_L_numeric
     cands = []
     for k in range(0, k_max + 1):
         for cand in (k * step + x, (k + 1) * step - x):

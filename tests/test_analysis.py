@@ -5,7 +5,9 @@ import pytest
 
 from dressedspin.analysis import (
     J0_FIRST_ROOT,
+    ScanRow,
     ScanSpec,
+    _apply_branch_continuity,
     calibrate,
     extract_frequency,
     run_scan,
@@ -165,6 +167,23 @@ def test_scan_monodromy_and_timeseries_methods():
         assert row.timeseries == pytest.approx(row.monodromy, rel=1e-3)
         assert row.alias_ambiguous is False
         assert row.p1_norm_max > 0.0
+
+
+@pytest.mark.parametrize("spin", ["half", "one"])
+def test_branch_continuity_resolves_values_from_several_alias_branches(spin):
+    omega = 10.0 * KHZ
+    step = 2.0 * omega if spin == "half" else omega  # alias period of Omega_L
+    # a smooth Larmor curve inside (2 step, 2.5 step); each raw value after
+    # the first is one of its aliases u, step - u, step + u, 2 step - u
+    truth = (2.25 + 0.12 * np.sin(0.4 * np.arange(24))) * step
+    u = truth - 2.0 * step
+    aliases = (u, step - u, step + u, 2.0 * step - u)
+    raw = [truth[0]] + [aliases[i % 4][i] for i in range(1, truth.size)]
+    rows = [ScanRow(value=float(i), monodromy=float(x)) for i, x in enumerate(raw)]
+    rows.insert(5, ScanRow(value=4.5, errors=("monodromy:NoConvergence",)))
+    out = _apply_branch_continuity(rows, omega, spin)
+    assert out.pop(5) is rows[5]
+    assert [r.monodromy for r in out] == pytest.approx(list(truth), rel=1e-12)
 
 
 def test_scan_jobs_parallel_matches_serial():

@@ -6,13 +6,19 @@ import scipy.integrate
 
 from dressedspin.config import dimensionless
 from dressedspin.effective import (
+    L_X,
+    L_Y,
+    L_Z,
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
     bare_precession,
     floquet_first_order,
     larmor_frequency,
     perturbative_eta,
     rectified_field,
 )
-from dressedspin.special import bessel_j
+from dressedspin.special import bessel_j, f_aux
 
 from conftest import KHZ, make_config
 
@@ -217,6 +223,49 @@ def test_p1_norm_reported():
     cfg = make_config(10.0, xi=1.8, w0_khz=(0, 0, 0.5), tuning=(("y", 0.5, 1, math.pi / 2),))
     flo = floquet_first_order(cfg)
     assert 0.0 < flo.p1_norm_max < 1.0
+
+
+def _reference_p1_norm_max(config, taus):
+    """P1 = v.sigma/2 or v.L with v from f1..f4 one by one, and its spectral
+    norm by SVD at every tau."""
+    b = dimensionless(config)
+    _, w0y, w0z = b.w0
+    worst = 0.0
+    for tau in taus:
+        f1, f2 = f_aux(1, tau, b.xi), f_aux(2, tau, b.xi)
+        vx, vy, vz = 0.0, w0y * f1 + w0z * f2, -w0y * f2 + w0z * f1
+        for t in b.tuning:
+            m, ph = t.harmonic, t.phase
+            if t.axis == "x":
+                vx += t.strength * (math.sin(m * tau + ph) - math.sin(ph)) / m
+            elif t.axis == "y":
+                vy += t.strength * f_aux(3, tau, b.xi, m, ph)
+                vz -= t.strength * f_aux(4, tau, b.xi, m, ph)
+            else:  # on z the roles of f3 and f4 swap
+                vy += t.strength * f_aux(4, tau, b.xi, m, ph)
+                vz += t.strength * f_aux(3, tau, b.xi, m, ph)
+        if b.spin == "half":
+            mat = 0.5 * (vx * PAULI_X + vy * PAULI_Y + vz * PAULI_Z)
+        else:
+            mat = vx * L_X + vy * L_Y + vz * L_Z
+        worst = max(worst, float(np.linalg.norm(mat, 2)))
+    return worst
+
+
+@pytest.mark.parametrize("spin", ["half", "one"])
+@pytest.mark.parametrize(
+    "tuning",
+    [
+        (("x", 1.1, 2, 0.3), ("y", 0.7, 1, 1.2), ("z", 0.9, 3, 0.4)),
+        (("z", 1.3, 2, 2.1),),
+        (("x", 0.8, 1, 0.0), ("z", 0.6, 1, -0.7)),
+    ],
+)
+def test_p1_norm_matches_matrix_svd_reference(tuning, spin):
+    cfg = make_config(9.0, xi=1.7, w0_khz=(0.4, 0.3, 2.040), tuning=tuning, spin=spin)
+    taus = np.linspace(0.0, 2.0 * math.pi, 33)
+    got = floquet_first_order(cfg, tau_grid=taus).p1_norm_max
+    assert got == pytest.approx(_reference_p1_norm_max(cfg, taus), rel=1e-14, abs=0.0)
 
 
 def test_eta_diagnostic():

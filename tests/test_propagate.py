@@ -1,3 +1,4 @@
+from functools import partial
 import math
 import pathlib
 
@@ -7,12 +8,13 @@ import pytest
 from dressedspin import propagate
 from dressedspin.config import dimensionless, validate
 from dressedspin.configfile import apply_overrides, load_config
-from dressedspin.effective import larmor_frequency, rectified_field
+from dressedspin.effective import L_X, L_Y, L_Z, larmor_frequency, rectified_field
 from dressedspin.special import bessel_j
 from dressedspin.errors import NoConvergence, UnitarityLost
 from dressedspin.propagate import (
     DEFAULT_INTEGRATOR,
     IntegratorControl,
+    QuasiEnergy,
     analytic_coherences,
     monodromy_quasienergy,
     propagate_bloch_spin1,
@@ -118,7 +120,7 @@ def test_collapse_quasienergy_tiny():
 
 def test_quasienergy_candidates():
     qe = monodromy_quasienergy(make_config(10.0, w0_khz=(0, 0, 0.2)))
-    cands = quasienergy_candidates(qe, 10.0 * KHZ, "half", k_max=1)
+    cands = quasienergy_candidates(qe.omega_L_numeric, 10.0 * KHZ, "half", k_max=1)
     assert any(abs(c - 0.2 * KHZ) < 1.0 for c in cands)
     assert any(abs(c - (20.0 - 0.2) * KHZ) < 1.0 for c in cands)
 
@@ -128,6 +130,23 @@ def test_unitarity_lost_raised():
     ctl = IntegratorControl(unitarity_drift_limit=1e-16)
     with pytest.raises(UnitarityLost):
         propagate_spin_half(cfg, 2e-3, 100, ctl=ctl)
+
+
+def test_bloch_unitarity_lost_raised():
+    cfg = make_config(9.0, xi=2.0, w0_khz=(0, 0, 2.040), spin="one")
+    ctl = IntegratorControl(unitarity_drift_limit=1e-16)
+    with pytest.raises(UnitarityLost):
+        propagate_bloch_spin1(cfg, 2e-3, 100, ctl=ctl)
+
+
+def test_bloch_drift_is_measured_on_magnetisation(monkeypatch):
+    # |psi| = 1 + 6e-10 passes a 1e-9 bound, but |M|/|M(0)| = |psi|^2 does not
+    sampled = propagate._sampled_series
+    monkeypatch.setattr(propagate, "_sampled_series", lambda *args: sampled(*args) * (1.0 + 6e-10))
+    ctl = IntegratorControl(unitarity_drift_limit=1e-9)
+    propagate_spin_half(make_config(10.0, w0_khz=(0, 0, 2.0)), 1e-3, 50, ctl=ctl)
+    with pytest.raises(UnitarityLost):
+        propagate_bloch_spin1(make_config(10.0, w0_khz=(0, 0, 2.0), spin="one"), 1e-3, 50, ctl=ctl)
 
 
 def test_no_convergence_raised():
@@ -242,15 +261,36 @@ def _shipped(name, spin):
     return validate(apply_overrides(load_config(CONFIGS / f"{name}.cfg"), [f"spin={spin}"]))
 
 
-def _reference_integrate_targets(bundle, spin, targets, base_step):
+# Spin one is derived from the SU(2) propagator; the real 3x3 RK4 route of
+# dM/dtau = b x M is kept here as an independent oracle.  The two routes
+# truncate differently, so they agree to these tolerances, not bit for bit.
+SERIES_ATOL = 1e-8  # per series cell, |M(0)| <= 2
+PROPAGATOR_ATOL = 1e-10  # per rotation-matrix entry at 4096 steps/period
+OMEGA_RTOL = 1e-9  # monodromy Larmor frequency
+UNITARITY_ATOL = 1e-11  # monodromy unitarity error
+
+L_GEN = np.stack((L_X, L_Y, L_Z))
+
+
+def _bloch_generator_stack(bundle, taus):
+    """b(tau).L at each tau, with the field b(tau) built here from the bundle."""
+    b = np.tile(np.asarray(bundle.w0, dtype=float), (len(taus), 1))
+    b[:, 0] += bundle.xi * np.cos(taus)
+    for t in bundle.tuning:
+        b[:, "xyz".index(t.axis)] += t.strength * np.cos(t.harmonic * taus + t.phase)
+    return np.einsum("ni,ijk->njk", b, L_GEN)
+
+
+def _reference_integrate_targets(generator, targets, base_step):
     """Per-gap RK4 loop that builds the generator stacks for every gap.
 
-    The package lays the steps out up front and builds the stacks per block;
-    the arithmetic of each step is the same, so results must match bit for bit.
+    With the package's generator the package lays the steps out up front and
+    builds the stacks per block; the arithmetic of each step is the same, so
+    results must match bit for bit.  With _bloch_generator_stack it is the
+    real 3x3 route.
     """
-    dim = 2 if spin == "half" else 3
-    dtype = complex if spin == "half" else float
-    U = np.eye(dim, dtype=dtype)
+    a = generator(np.zeros(1))[0]
+    U = np.eye(a.shape[0], dtype=a.dtype)
     out = []
     prev = 0.0
     for target in targets:
@@ -259,9 +299,9 @@ def _reference_integrate_targets(bundle, spin, targets, base_step):
             m = max(1, int(math.ceil(gap / base_step - 1e-12)))
             hs = gap / m
             t0 = prev + hs * np.arange(m)
-            a0 = propagate._generator_stack(bundle, t0, spin)
-            ah = propagate._generator_stack(bundle, t0 + 0.5 * hs, spin)
-            a1 = propagate._generator_stack(bundle, t0 + hs, spin)
+            a0 = generator(t0)
+            ah = generator(t0 + 0.5 * hs)
+            a1 = generator(t0 + hs)
             for j in range(m):
                 k1 = a0[j] @ U
                 k2 = ah[j] @ (U + (0.5 * hs) * k1)
@@ -273,7 +313,7 @@ def _reference_integrate_targets(bundle, spin, targets, base_step):
     return out
 
 
-def _reference_sampled_series(bundle, spin, taus, psi0, steps_per_period):
+def _reference_sampled_series(generator, taus, psi0, steps_per_period):
     """Sample-by-sample assembly of U(s) M^k psi0 over the reference integrator."""
     ks = np.floor(taus / TWO_PI).astype(np.int64)
     ss = taus - TWO_PI * ks
@@ -284,7 +324,7 @@ def _reference_sampled_series(bundle, spin, taus, psi0, steps_per_period):
     targets = list(unique_s)
     if targets[-1] < TWO_PI:
         targets.append(TWO_PI)
-    mats = _reference_integrate_targets(bundle, spin, targets, TWO_PI / steps_per_period)
+    mats = _reference_integrate_targets(generator, targets, TWO_PI / steps_per_period)
     monodromy = mats[-1]
     lookup = {s: mats[i] for i, s in enumerate(unique_s)}
     states = np.empty((len(taus), psi0.shape[0]), dtype=monodromy.dtype)
@@ -298,19 +338,69 @@ def _reference_sampled_series(bundle, spin, taus, psi0, steps_per_period):
     return states
 
 
+def _reference_bloch_series(cfg, t_end, samples, m0):
+    """propagate_bloch_spin1 along the real 3x3 route: same sampling,
+    step-halving and |M| drift criterion, returns M as (samples, 3)."""
+    ctl = DEFAULT_INTEGRATOR
+    generator = partial(_bloch_generator_stack, dimensionless(cfg))
+    taus = np.linspace(0.0, t_end, samples) * cfg.dressing.omega
+    steps = ctl.steps_per_period
+    prev = _reference_sampled_series(generator, taus, m0, steps)
+    for _ in range(ctl.max_refinements):
+        steps *= 2
+        cur = _reference_sampled_series(generator, taus, m0, steps)
+        err = float(np.max(np.abs(cur - prev)))
+        drift = float(np.max(np.abs(np.linalg.norm(cur, axis=1) / np.linalg.norm(m0) - 1.0)))
+        if err <= ctl.rel_tol * max(1.0, float(np.max(np.abs(cur)))) and drift <= 1e-9:
+            return cur
+        prev = cur
+    raise NoConvergence("reference series not converged")
+
+
+def _reference_quasienergy_one(cfg):
+    """monodromy_quasienergy for spin one along the real 3x3 route."""
+    ctl = DEFAULT_INTEGRATOR
+    generator = partial(_bloch_generator_stack, dimensionless(cfg))
+    omega = cfg.dressing.omega
+
+    def once(steps):
+        mono = _reference_integrate_targets(generator, [TWO_PI], TWO_PI / steps)[0]
+        unit_err = float(np.linalg.norm(mono.T @ mono - np.eye(3), 2))
+        theta = float(np.max(np.abs(np.angle(np.linalg.eigvals(mono)))))
+        return theta, theta * omega / TWO_PI, unit_err
+
+    steps = ctl.steps_per_period
+    _, om_prev, _ = once(steps)
+    for _ in range(ctl.max_refinements):
+        steps *= 2
+        theta, om_cur, unit_err = once(steps)
+        if abs(om_cur - om_prev) <= ctl.rel_tol * omega:
+            return QuasiEnergy(om_cur, theta < 1e-3 or math.pi - theta < 1e-3, unit_err)
+        om_prev = om_cur
+    raise NoConvergence("reference quasienergy not converged")
+
+
 @pytest.mark.parametrize("spin", ["half", "one"])
 def test_integrate_targets_matches_per_gap_reference(spin):
-    bundle = dimensionless(_shipped("odd-harmonic", spin))
+    cfg = _shipped("odd-harmonic", spin)
+    bundle = dimensionless(cfg)
     base_step = TWO_PI / 4096
     # tau = 0, a repeated target, a gap shorter than one step, a gap of more
     # than one block of steps (a block boundary falls inside it), and 2 pi
     targets = [0.0, 0.0, 1e-5, 1e-5, 4.0, 4.0 + 1e-4, TWO_PI]
     assert (4.0 - 1e-5) / base_step > propagate._BLOCK_STEPS
-    got = propagate._integrate_targets(bundle, spin, targets, base_step)
-    want = _reference_integrate_targets(bundle, spin, targets, base_step)
+    got = propagator_at(cfg, targets, 4096)
+    if spin == "half":
+        want = _reference_integrate_targets(partial(propagate._generator_stack, bundle), targets, base_step)
+    else:
+        want = _reference_integrate_targets(partial(_bloch_generator_stack, bundle), targets, base_step)
     assert len(got) == len(want)
     for a, b in zip(got, want):
-        assert np.array_equal(a, b)
+        assert a.shape == b.shape
+        if spin == "half":
+            assert np.array_equal(a, b)
+        else:
+            assert np.max(np.abs(a - b)) <= PROPAGATOR_ATOL
 
 
 @pytest.mark.parametrize("spin", ["half", "one"])
@@ -320,12 +410,18 @@ def test_sampled_series_matches_per_sample_reference(spin):
     taus = np.linspace(0.0, 5e-3, 301) * cfg.dressing.omega  # about 50 periods
     if spin == "half":
         psi0 = np.array([1.0, 1.0j], dtype=complex) / math.sqrt(2.0)
+        got = propagate._sampled_series(bundle, taus, psi0, 512)
+        want = _reference_sampled_series(partial(propagate._generator_stack, bundle), taus, psi0, 512)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
     else:
-        psi0 = np.array([0.6, 0.0, 0.8])
-    got = propagate._sampled_series(bundle, spin, taus, psi0, 512)
-    want = _reference_sampled_series(bundle, spin, taus, psi0, 512)
-    assert got.dtype == want.dtype
-    assert np.array_equal(got, want)
+        # <sigma> of (sqrt(0.9), sqrt(0.1)) is M(0) = (0.6, 0, 0.8)
+        psi0 = np.array([math.sqrt(0.9), math.sqrt(0.1)], dtype=complex)
+        states = propagate._sampled_series(bundle, taus, psi0, 4096)
+        got = np.column_stack(propagate._coherences_from_states(states)[:3])
+        generator = partial(_bloch_generator_stack, bundle)
+        want = _reference_sampled_series(generator, taus, np.array([0.6, 0.0, 0.8]), 4096)
+        assert np.max(np.abs(got - want)) <= SERIES_ATOL
 
 
 @pytest.mark.parametrize("spin", ["half", "one"])
@@ -333,5 +429,25 @@ def test_sampled_series_matches_per_sample_reference(spin):
 def test_monodromy_matches_per_gap_reference(name, spin, monkeypatch):
     cfg = _shipped(name, spin)
     got = monodromy_quasienergy(cfg)
-    monkeypatch.setattr(propagate, "_integrate_targets", _reference_integrate_targets)
+    if spin == "one":
+        want = _reference_quasienergy_one(cfg)
+        assert got.omega_L_numeric == pytest.approx(want.omega_L_numeric, rel=OMEGA_RTOL, abs=0.0)
+        assert got.alias_ambiguous == want.alias_ambiguous
+        assert abs(got.monodromy_unitarity_error - want.monodromy_unitarity_error) <= UNITARITY_ATOL
+        return
+
+    def reference(bundle, targets, base_step):
+        return _reference_integrate_targets(partial(propagate._generator_stack, bundle), targets, base_step)
+
+    monkeypatch.setattr(propagate, "_integrate_targets", reference)
     assert got == monodromy_quasienergy(cfg)
+
+
+@pytest.mark.parametrize("m0", [None, (0.0, 0.0, -1.0), (0.3, -1.2, 0.5)], ids=["x", "minus-z", "tilted"])
+@pytest.mark.parametrize("name", SHIPPED)
+def test_bloch_series_matches_real_rk4_reference(name, m0):
+    cfg = _shipped(name, "one")
+    series = propagate_bloch_spin1(cfg, 2e-3, 257, initial=m0)
+    want = _reference_bloch_series(cfg, 2e-3, 257, np.array((1.0, 0.0, 0.0) if m0 is None else m0))
+    got = np.column_stack((series.sx, series.sy, series.sz))
+    assert np.max(np.abs(got - want)) <= SERIES_ATOL
