@@ -237,16 +237,23 @@ def _apply_branch_continuity(rows, omega, spin):
 
     The eigenphase fixes Omega_L only modulo the drive frequency and up to
     sign; walk the grid and replace each raw value by the alias candidate
-    closest to its resolved neighbour.
+    closest to a prediction: the linear extrapolation of the last two
+    resolved rows, or the first row's raw value while only it is resolved.
+    Staying near the previous row instead would fold a curve back at a
+    reflection edge (k*step/2), where the mirrored candidate is nearest.
     """
-    prev = None
+    resolved = []  # (value, Omega_L) of the last two resolved rows
     out = []
     for row in rows:
         if row.monodromy is not None:
-            if prev is not None:
+            if resolved:
+                pred = resolved[-1][1]
+                if len(resolved) == 2:
+                    (x0, y0), (x1, y1) = resolved
+                    pred += (y1 - y0) * (row.value - x1) / (x1 - x0)
                 cands = quasienergy_candidates(row.monodromy, omega, spin)
-                row = replace(row, monodromy=min(cands, key=lambda c: abs(c - prev)))
-            prev = row.monodromy
+                row = replace(row, monodromy=min(cands, key=lambda c: abs(c - pred)))
+            resolved = resolved[-1:] + [(row.value, row.monodromy)]
         out.append(row)
     return out
 

@@ -13,6 +13,8 @@ import argparse
 import math
 import sys
 
+import numpy as np
+
 from .analysis import (
     ScanSpec,
     calibrate,
@@ -50,12 +52,17 @@ def _fmt(value) -> str:
 
 
 def _write_csv(path, comment_lines, header, rows):
+    """rows: a list of rows of mixed cells, or a 2-D float array written in one
+    %-format (the same text as _fmt gives each float)."""
     lines = [f"# {CSV_SCHEMA}"]
     lines += [f"# {c}" for c in comment_lines]
     lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
     text = "\n".join(lines) + "\n"
+    if isinstance(rows, np.ndarray):
+        line = ",".join(["%.12g"] * rows.shape[1]) + "\n"
+        text += (line * rows.shape[0]) % tuple(rows.ravel().tolist())
+    else:
+        text += "".join(",".join(_fmt(v) for v in row) + "\n" for row in rows)
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
@@ -118,7 +125,6 @@ def cmd_simulate(args) -> int:
         raise ConfigFileError("--samples must be >= 2", source="<args>", key="samples")
     if not args.t_end > 0.0:
         raise ConfigFileError("--t-end must be > 0", source="<args>", key="t-end")
-    columns = {"t_s": None}
     series = {}
     if args.method in ("analytic", "both"):
         series["an"] = analytic_coherences(config, args.t_end, args.samples)
@@ -128,21 +134,15 @@ def cmd_simulate(args) -> int:
         else:
             series["num"] = propagate_spin_half(config, args.t_end, args.samples)
     header = ["t_s"]
-    for tag in series:
+    columns = [next(iter(series.values())).times]
+    for tag, s in series.items():
         header += [f"sx_{tag}", f"sy_{tag}", f"sz_{tag}"]
-    any_series = next(iter(series.values()))
-    rows = []
-    for i, t in enumerate(any_series.times):
-        row = [float(t)]
-        for tag in series:
-            s = series[tag]
-            row += [float(s.sx[i]), float(s.sy[i]), float(s.sz[i])]
-        rows.append(row)
+        columns += [s.sx, s.sy, s.sz]
     comments = _bundle_comments(config)
     for tag, s in series.items():
         if s.degenerate_field:
             comments.append(f"{tag}: degenerate field (Omega_L = 0), coherences frozen")
-    _write_csv(args.out, comments, header, rows)
+    _write_csv(args.out, comments, header, np.column_stack(columns))
     return EXIT_OK
 
 

@@ -5,8 +5,11 @@ scheme under global step-halving control: the whole calculation is repeated
 with doubled step count until the result moves by less than ``rel_tol``.
 No renormalisation is applied during integration -- norm drift is the error
 diagnostic, not something to hide.  Step sizes and node times of a whole
-integration are laid out up front, and the generator stacks A(tau) at the
-RK4 nodes are built per block of at most 2048 steps, so memory stays flat
+integration are laid out up front.  The ODE is linear, so one RK4 step is
+U <- S_j U with a step matrix S_j built from the generator A(tau) at the
+step's nodes.  Per block of at most 2048 steps the S_j are built at once and
+combined in an inclusive prefix product of log2(2048) = 11 rounds (Hillis &
+Steele 1986), so there is no per-step Python loop, and memory stays flat
 however many steps an integration takes.
 
 Only the spin-half (SU(2)) propagator U is integrated.  The spin-one
@@ -49,7 +52,7 @@ _ALIAS_TOL = 1e-3
 # Spin-1 propagation is norm-conserving physics; drift beyond this is a bug.
 _BLOCH_NORM_TOL = 1e-9
 
-# Steps per generator-stack block (see the module docstring).
+# Steps per block of step matrices (see the module docstring).
 _BLOCK_STEPS = 2048
 
 _PAULI = np.stack((PAULI_X, PAULI_Y, PAULI_Z))
@@ -105,26 +108,19 @@ class QuasiEnergy:
 
 
 def _generator_stack(bundle, taus):
-    """dU/dtau generator A(tau) = -i b(tau).sigma/2 at each tau."""
+    """dU/dtau generator A(tau) = -i b(tau).sigma/2 as a (2, 2, len(taus)) stack."""
     taus = np.asarray(taus, dtype=float)
-    bx = np.full_like(taus, bundle.w0[0])
-    by = np.full_like(taus, bundle.w0[1])
-    bz = np.full_like(taus, bundle.w0[2])
-    bx += bundle.xi * np.cos(taus)
+    b = np.empty((3, taus.size))
+    b[:] = np.asarray(bundle.w0, dtype=float)[:, None]
+    b[0] += bundle.xi * np.cos(taus)
     for t in bundle.tuning:
-        drive = t.strength * np.cos(t.harmonic * taus + t.phase)
-        if t.axis == "x":
-            bx += drive
-        elif t.axis == "y":
-            by += drive
-        else:
-            bz += drive
-    gx, gy, gz = -0.5j * _PAULI
-    return (
-        bx[:, None, None] * gx[None, :, :]
-        + by[:, None, None] * gy[None, :, :]
-        + bz[:, None, None] * gz[None, :, :]
-    )
+        b["xyz".index(t.axis)] += t.strength * np.cos(t.harmonic * taus + t.phase)
+    return np.tensordot(-0.5j * _PAULI, b, axes=(0, 0))
+
+
+def _mul(a, b):
+    """Matrix products a[:, :, j] @ b[:, :, j] of (2, 2, n) stacks (n may broadcast)."""
+    return (a[:, :, None] * b[None]).sum(axis=1)
 
 
 def _rotation(u):
@@ -136,8 +132,8 @@ def _integrate_targets(bundle, targets, base_step):
     """RK4-propagate dU/dtau = A(tau) U from tau = 0 through ascending targets.
 
     Within each gap the step divides the gap evenly and never exceeds
-    base_step, so every target is hit exactly.  Returns the propagator at
-    each target.
+    base_step, so every target is hit exactly.  Returns the propagators at
+    the targets as a (len(targets), 2, 2) array.
     """
     targets = np.asarray(targets, dtype=float)
     prevs = np.concatenate(([0.0], targets))[:-1]
@@ -148,26 +144,32 @@ def _integrate_targets(bundle, targets, base_step):
     local = np.arange(int(ms.sum())) - np.repeat(np.cumsum(ms) - ms, ms)
     h_step = np.repeat(h_gap, ms)
     t0 = np.repeat(prevs, ms) + h_step * local
+    last = np.cumsum(ms) - 1  # each target's last step; -1 before the first step
 
-    U = np.eye(2, dtype=complex)
-    out = []
-    g = 0  # global step index
-    for m, hs in zip(ms.tolist(), h_gap.tolist()):
-        for _ in range(m):
-            j = g % _BLOCK_STEPS
-            if j == 0:
-                t, h = t0[g : g + _BLOCK_STEPS], h_step[g : g + _BLOCK_STEPS]
-                a0 = _generator_stack(bundle, t)
-                ah = _generator_stack(bundle, t + 0.5 * h)
-                a1 = _generator_stack(bundle, t + h)
-            k1 = a0[j] @ U
-            k2 = ah[j] @ (U + (0.5 * hs) * k1)
-            k3 = ah[j] @ (U + (0.5 * hs) * k2)
-            k4 = a1[j] @ (U + hs * k3)
-            U = U + (hs / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            g += 1
-        out.append(U.copy())
-    return out
+    eye = np.eye(2)[:, :, None]
+    out = np.empty((2, 2, targets.size), dtype=complex)
+    out[:, :, last < 0] = eye
+    U = eye
+    for g in range(0, t0.size, _BLOCK_STEPS):
+        t, h = t0[g : g + _BLOCK_STEPS], h_step[g : g + _BLOCK_STEPS]
+        a0 = _generator_stack(bundle, t)
+        ah = _generator_stack(bundle, t + 0.5 * h)
+        a1 = _generator_stack(bundle, t + h)
+        # RK4 step U <- S U of this linear ODE, one step matrix S per step
+        k2 = _mul(ah, eye + (0.5 * h) * a0)
+        k3 = _mul(ah, eye + (0.5 * h) * k2)
+        k4 = _mul(a1, eye + h * k3)
+        s = eye + (h / 6.0) * (a0 + 2.0 * k2 + 2.0 * k3 + k4)
+        s[:, :, :1] = _mul(s[:, :, :1], U)
+        # inclusive prefix product, later steps on the left, in log2(len(h)) rounds
+        d = 1
+        while d < h.size:
+            s[:, :, d:] = _mul(s[:, :, d:], s[:, :, :-d])
+            d *= 2
+        hit = (last >= g) & (last < g + h.size)
+        out[:, :, hit] = s[:, :, last[hit] - g]
+        U = s[:, :, -1:]
+    return np.moveaxis(out, -1, 0)
 
 
 def propagator_at(config: DriveConfiguration, tau_points, steps_per_period: int = 512):
@@ -182,7 +184,7 @@ def propagator_at(config: DriveConfiguration, tau_points, steps_per_period: int 
     if any(b < a for a, b in zip(pts, pts[1:])) or (pts and pts[0] < 0.0):
         raise ValueError("tau_points must be ascending and >= 0")
     mats = _integrate_targets(bundle, pts, TWO_PI / steps_per_period)
-    return mats if bundle.spin == "half" else [_rotation(u) for u in mats]
+    return list(mats) if bundle.spin == "half" else [_rotation(u) for u in mats]
 
 
 def _sampled_series(bundle, taus, psi0, steps_per_period):
@@ -211,8 +213,7 @@ def _sampled_series(bundle, taus, psi0, steps_per_period):
             power = monodromy @ power
             k_cur += 1
         mk_psi0.append(power @ psi0)
-    partial = np.stack(mats[: len(unique_s)])
-    return np.matmul(partial[s_idx], np.stack(mk_psi0)[k_idx][:, :, None])[:, :, 0]
+    return np.matmul(mats[s_idx], np.stack(mk_psi0)[k_idx][:, :, None])[:, :, 0]
 
 
 def _coherences_from_states(states):

@@ -186,6 +186,20 @@ def test_branch_continuity_resolves_values_from_several_alias_branches(spin):
     assert [r.monodromy for r in out] == pytest.approx(list(truth), rel=1e-12)
 
 
+@pytest.mark.parametrize("spin", ["half", "one"])
+def test_branch_continuity_unfolds_reflection_edges(spin):
+    omega = 10.0 * KHZ
+    step = 2.0 * omega if spin == "half" else omega
+    # a monotone sweep through step/2, step and 3 step/2; the monodromy
+    # reports each value folded into [0, step/2]
+    truth = (0.07 + 0.06 * np.arange(31) + 4e-4 * np.arange(31) ** 2) * step
+    folded = np.abs(truth - step * np.round(truth / step))
+    rows = [ScanRow(value=0.1 * i, monodromy=float(x)) for i, x in enumerate(folded)]
+    out = _apply_branch_continuity(rows, omega, spin)
+    assert truth[-1] > 1.5 * step
+    assert [r.monodromy for r in out] == pytest.approx(list(truth), rel=1e-12)
+
+
 def test_scan_jobs_parallel_matches_serial():
     base = make_config(9.0, xi=1.0, w0_khz=(0, 0, 2.040), tuning=(("y", 4.97, 1, math.pi / 2),))
     spec = ScanSpec(swept="xi", grid=tuple(np.linspace(0.6, 5.0, 9)), base=base)

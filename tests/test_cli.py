@@ -127,6 +127,17 @@ def test_simulate_numeric_failure_exits_3(tmp_path, capsys, monkeypatch):
     assert "error: NoConvergence: forced" in capsys.readouterr().err
 
 
+def test_float_table_csv_matches_per_cell_format(tmp_path):
+    # the one-operation %-format of an all-float table writes what _fmt writes per cell
+    cells = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, -1.5e17, 1.0 / 3.0, 1e-5, 123456789012345.0]
+    table = np.array(cells + cells[::-1]).reshape(4, 5)
+    cli._write_csv(tmp_path / "fast.csv", ["c = 1"], list("abcde"), table)
+    cli._write_csv(tmp_path / "cells.csv", ["c = 1"], list("abcde"), [[float(v) for v in r] for r in table])
+    fast = (tmp_path / "fast.csv").read_bytes()
+    assert fast == (tmp_path / "cells.csv").read_bytes()
+    assert b"-0,0,nan,inf,-inf\n4.94065645841e-324,-1.5e+17," in fast
+
+
 def test_simulate_zero_drive(tmp_path):
     cfg = _write(tmp_path, "zero.cfg", "[dressing]\nfrequency = 10\n")
     out_csv = tmp_path / "sim.csv"
