@@ -123,8 +123,8 @@ def cmd_simulate(args) -> int:
     config = _load(args)
     if args.samples < 2:
         raise ConfigFileError("--samples must be >= 2", source="<args>", key="samples")
-    if not args.t_end > 0.0:
-        raise ConfigFileError("--t-end must be > 0", source="<args>", key="t-end")
+    if not 0.0 < args.t_end < math.inf:
+        raise ConfigFileError("--t-end must be finite and > 0", source="<args>", key="t-end")
     series = {}
     if args.method in ("analytic", "both"):
         series["an"] = analytic_coherences(config, args.t_end, args.samples)
@@ -158,7 +158,10 @@ def cmd_scan(args) -> int:
         lo, hi = lo * _KHZ, hi * _KHZ
     step = (hi - lo) / (args.points - 1)
     grid = [lo + i * step for i in range(args.points)]
-    spec = ScanSpec(swept=args.sweep, grid=grid, base=config, methods=methods)
+    try:
+        spec = ScanSpec(swept=args.sweep, grid=grid, base=config, methods=methods)
+    except ValueError as exc:  # equal --from/--to, unknown method, phi sweep without one tuning term
+        raise ConfigFileError(str(exc), source="<args>") from None
     result = run_scan(spec, jobs=args.jobs)
 
     if args.sweep == "xi":

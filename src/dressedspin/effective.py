@@ -25,7 +25,7 @@ import math
 import numpy as np
 
 from .config import DriveConfiguration, dimensionless
-from .special import SeriesControl, DEFAULT_SERIES, bessel_j, f_aux, g_func
+from .special import bessel_j, f_aux, g_func
 
 __all__ = [
     "EffectiveField",
@@ -149,18 +149,18 @@ def bare_precession(omega0x: float, omega0z: float, xi: float) -> float:
     return math.hypot(omega0x, omega0z * bessel_j(0, xi))
 
 
-def _p1_vector(bundle, tau, ctl: SeriesControl):
+def _p1_vector(bundle, tau):
     """Cartesian components of the periodic part P1 at tau, in units of omega."""
     w0x, w0y, w0z = bundle.w0
     vx = 0.0
-    vy = w0y * f_aux(1, tau, bundle.xi, ctl=ctl) + w0z * f_aux(2, tau, bundle.xi, ctl=ctl)
-    vz = -w0y * f_aux(2, tau, bundle.xi, ctl=ctl) + w0z * f_aux(1, tau, bundle.xi, ctl=ctl)
+    vy = w0y * f_aux(1, tau, bundle.xi) + w0z * f_aux(2, tau, bundle.xi)
+    vz = -w0y * f_aux(2, tau, bundle.xi) + w0z * f_aux(1, tau, bundle.xi)
     for t in bundle.tuning:
         if t.axis == "x":
             m = t.harmonic
             vx += t.strength * (math.sin(m * tau + t.phase) - math.sin(t.phase)) / m
             continue
-        g = g_func(tau, bundle.xi, t.harmonic, t.phase, ctl)  # f3 = g.real, f4 = g.imag
+        g = g_func(tau, bundle.xi, t.harmonic, t.phase)  # f3 = g.real, f4 = g.imag
         if t.axis == "y":
             vy += t.strength * g.real
             vz -= t.strength * g.imag
@@ -170,11 +170,7 @@ def _p1_vector(bundle, tau, ctl: SeriesControl):
     return vx, vy, vz
 
 
-def floquet_first_order(
-    config: DriveConfiguration,
-    tau_grid=None,
-    ctl: SeriesControl = DEFAULT_SERIES,
-) -> FloquetFirstOrder:
+def floquet_first_order(config: DriveConfiguration, tau_grid=None) -> FloquetFirstOrder:
     """Lambda1 built from the rectified field, plus the max norm of P1.
 
     For spin half Lambda1 = h.sigma/(2 omega) (Hermitian); for spin one it is
@@ -200,6 +196,6 @@ def floquet_first_order(
         tau_grid = np.linspace(0.0, 2.0 * math.pi, 129)
     v_max = 0.0
     for tau in np.asarray(tau_grid, dtype=float):
-        v_max = max(v_max, math.hypot(*_p1_vector(b, float(tau), ctl)))
+        v_max = max(v_max, math.hypot(*_p1_vector(b, float(tau))))
     p1_max = 0.5 * v_max if b.spin == "half" else v_max
     return FloquetFirstOrder(lambda1=lambda1, p1_norm_max=p1_max, spin=b.spin, omega=w)

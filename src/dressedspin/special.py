@@ -6,7 +6,8 @@ Those integrals split into a secular (linear-in-tau) part weighted by Bessel
 functions and a periodic remainder; this module evaluates the Bessel factors
 J_n and the periodic remainders f1..f4 and g.
 
-Series truncation follows a SeriesControl contract: terms are added until
+Each evaluation of f1, f2 or g reads one table of J_n from one Bessel
+recurrence and follows one SeriesControl contract: terms are added until
 the tau-independent envelope of the next term drops below ``abs_tol``;
 hitting ``max_terms`` first raises SeriesNotConverged.
 """
@@ -47,59 +48,92 @@ DEFAULT_SERIES = SeriesControl()
 _BIG = 1e250
 
 
-def bessel_j(n: int, x: float) -> float:
+def _miller_seed(top) -> int:
+    """Even starting order of the downward recurrence for orders and
+    arguments up to top, well above the turning point."""
+    m = int(top + 12.0 * max(4.0, top) ** (1.0 / 3.0)) + 22
+    return m + m % 2
+
+
+def bessel_j(n, x: float):
     """Bessel function of the first kind J_n(x) for integer n >= 0.
 
-    Downward recurrence with normalisation (Miller's algorithm), seeded
-    well above the turning point so the recurrence runs in the decaying
-    regime.  Absolute error below 1e-12 for |x| <= 50, n <= 20 (checked
-    against an independent power-series oracle in the tests).
-    Negative arguments use J_n(-x) = (-1)^n J_n(x).
+    n is an order (returns a float) or a range such as range(N) (returns the
+    list J_0(x)..J_{N-1}(x) from one recurrence; one order is its one-element
+    case).  Downward recurrence with normalisation (Miller's algorithm),
+    seeded above the highest requested order.  Absolute error below 1e-12
+    for |x| <= 50, n < 130 (checked against scipy and an independent
+    power-series oracle in the tests).  J_n(-x) = (-1)^n J_n(x).
     """
-    if n < 0:
-        raise ValueError("order n must be >= 0")
-    sign = 1.0
-    if x < 0.0:
-        x = -x
-        if n % 2:
-            sign = -1.0
-    if x == 0.0:
-        return 1.0 if n == 0 else 0.0
-    if x < 1e-7:
-        # leading series terms; recurrence ratios 2k/x get needlessly huge
-        t = (0.5 * x) ** n / math.factorial(n)
-        return sign * t * (1.0 - 0.25 * x * x / (n + 1))
+    orders = n if isinstance(n, range) else range(n, n + 1)
+    lo, hi = orders.start, orders.stop
+    if orders.step != 1 or lo < 0:
+        raise ValueError("order n must be >= 0 (a range of orders: step 1)")
+    neg = x < 0.0
+    x = abs(x)
+    if x < 1e-7:  # leading series terms (exact at 0); recurrence ratios 2k/x get needlessly huge
+        out = [(-1.0 if neg and k % 2 else 1.0) * ((0.5 * x) ** k / math.factorial(k))
+               * (1.0 - 0.25 * x * x / (k + 1)) for k in orders]
+    else:
+        low = [0.0] * hi  # unnormalised J_0..J_{hi-1}
+        jp = 0.0  # J_{k+1}, unnormalised
+        jc = 1.0  # J_k
+        norm = 0.0  # accumulates J_0 + 2*sum_{k even > 0} J_k
+        for k in range(_miller_seed(max(hi - 1, x)), 0, -1):
+            jm = (2.0 * k / x) * jc - jp
+            jp = jc
+            jc = jm
+            idx = k - 1
+            if idx < hi:
+                low[idx] = jc
+            if idx > 0 and idx % 2 == 0:
+                norm += 2.0 * jc
+            if abs(jc) > _BIG:
+                jc /= _BIG
+                jp /= _BIG
+                norm /= _BIG
+                low = [v / _BIG for v in low]
+        norm += jc  # J_0 term
+        out = [(-low[k] if neg and k % 2 else low[k]) / norm for k in orders]
+    return out if isinstance(n, range) else out[0]
 
-    top = max(n, x)
-    m = int(top + 12.0 * max(4.0, top) ** (1.0 / 3.0)) + 22
-    if m % 2:
-        m += 1
 
-    jp = 0.0  # J_{k+1}, unnormalised
-    jc = 1.0  # J_k
-    target = 0.0
-    norm = 0.0  # accumulates J_0 + 2*sum_{k even > 0} J_k
-    for k in range(m, 0, -1):
-        jm = (2.0 * k / x) * jc - jp
-        jp = jc
-        jc = jm
-        idx = k - 1
-        if idx == n:
-            target = jc
-        if idx > 0 and idx % 2 == 0:
-            norm += 2.0 * jc
-        if abs(jc) > _BIG:
-            jc /= _BIG
-            jp /= _BIG
-            norm /= _BIG
-            target /= _BIG
-    norm += jc  # J_0 term
-    return sign * target / norm
+def _bessel_series(levels, xi, past, size, ctl: SeriesControl, name):
+    """Sum a Bessel series under the SeriesControl contract.
+
+    levels(jn) yields (order, envelope, term) per level, up to the term cap,
+    from jn = [J_0(xi), ..., J_{size-1}(xi)] of one bessel_j recurrence.  The
+    sum stops after the first level of order > past (past >= |xi|, where J_n
+    decays monotonically) whose envelope is below abs_tol.  jn stops at the
+    Miller seed of past: the orders beyond are below 2e-28 (checked against
+    scipy in the tests) and read as zero, so an abs_tol below that stops
+    there rather than at the cap."""
+    computed = min(size, _miller_seed(min(size, past)) + 1)  # a NaN xi sums to SeriesNotConverged
+    jn = bessel_j(range(computed), xi) + [0.0] * (size - computed)
+    total = 0.0
+    for order, envelope, term in levels(jn):
+        total += term
+        if order > past and envelope < ctl.abs_tol:
+            return total
+    raise SeriesNotConverged(f"{name} series: {ctl.max_terms} levels with envelope >= {ctl.abs_tol:g} (xi={xi:g})")
 
 
 def phi(tau: float, xi: float) -> float:
     """Accumulated dressing rotation angle xi*sin(tau)."""
     return xi * math.sin(tau)
+
+
+def _g_levels(jn, tau, p, Phi, cap):
+    eip = cmath.exp(1j * Phi)
+    for level in range(cap + 1):
+        term = envelope = 0.0
+        for n in (level,) if level == 0 else (level, -level):
+            j = jn[level] if (n >= 0 or level % 2 == 0) else -jn[level]
+            for k, e in ((n + p, eip), (n - p, eip.conjugate())):
+                if k:  # n = -p and n = +p are the secular terms
+                    term += 0.5 * e * j / (1j * k) * (cmath.exp(1j * k * tau) - 1.0)
+                    envelope = max(envelope, abs(j) / abs(k))
+        yield level, envelope, term
 
 
 def g_func(tau: float, xi: float, p: int, Phi: float, ctl: SeriesControl = DEFAULT_SERIES):
@@ -112,41 +146,21 @@ def g_func(tau: float, xi: float, p: int, Phi: float, ctl: SeriesControl = DEFAU
     """
     if p < 1:
         raise ValueError("harmonic p must be >= 1")
-    eip = cmath.exp(1j * Phi)
-    emp = eip.conjugate()
-    total = 0.0 + 0.0j
-    # level |n| = 0, 1, 2, ...; safe to stop only past both the resonant
-    # indices and the Bessel turning point |n| ~ xi, after which J_n decays
-    # monotonically.
-    min_level = max(p, int(abs(xi)) + 1)
-    for level in range(0, ctl.max_terms + 1):
-        jn_abs = bessel_j(level, xi)
-        envelope = 0.0
-        for n in (level,) if level == 0 else (level, -level):
-            jn = jn_abs if (n >= 0 or level % 2 == 0) else -jn_abs
-            if n != -p:
-                k = n + p
-                total += 0.5 * eip * jn / (1j * k) * (cmath.exp(1j * k * tau) - 1.0)
-                envelope = max(envelope, abs(jn) / abs(k))
-            if n != p:
-                k = n - p
-                total += 0.5 * emp * jn / (1j * k) * (cmath.exp(1j * k * tau) - 1.0)
-                envelope = max(envelope, abs(jn) / abs(k))
-        if level >= min_level and envelope < ctl.abs_tol:
-            return total
-    raise SeriesNotConverged(
-        f"g series: {ctl.max_terms} levels with envelope >= {ctl.abs_tol:g} (xi={xi:g}, p={p})"
-    )
+    cap = ctl.max_terms  # summed in levels |n|, stopping only past both resonant indices and |xi|
+    return _bessel_series(lambda jn: _g_levels(jn, tau, p, Phi, cap), xi, max(abs(xi), p - 1), cap + 1, ctl, "g")
 
 
-def f_aux(
-    i: int,
-    tau: float,
-    xi: float,
-    p: int = 1,
-    Phi: float = 0.0,
-    ctl: SeriesControl = DEFAULT_SERIES,
-) -> float:
+def _f_levels(jn, tau, cap, i):
+    # f1 = sum 2 J_m/m sin(m tau) over m = 2, 4, .., 2 cap;
+    # f2 = sum 4 J_m/m sin^2(m tau/2) over m = 1, 3, .., 2 cap + 1
+    for m in range(3 - i, 2 * cap + i, 2):
+        c = 2.0 * i * jn[m] / m
+        s = math.sin(m * tau if i == 1 else 0.5 * m * tau)
+        yield m, abs(c), c * s if i == 1 else c * s * s
+
+
+def f_aux(i: int, tau: float, xi: float, p: int = 1, Phi: float = 0.0,
+          ctl: SeriesControl = DEFAULT_SERIES) -> float:
     """Periodic auxiliary f_i(tau), i in 1..4.
 
     f1: remainder of int cos(phi) after removing J_0(xi)*tau (period pi).
@@ -154,23 +168,9 @@ def f_aux(
     f3, f4: real and imaginary parts of g(tau) -- remainders of the
         cos(phi)*cos(p tau+Phi) and sin(phi)*cos(p tau+Phi) integrals.
     """
-    if i == 1:
-        total = 0.0
-        for n in range(1, ctl.max_terms + 1):
-            c = bessel_j(2 * n, xi) / n
-            total += c * math.sin(2 * n * tau)
-            if 2 * n > abs(xi) and abs(c) < ctl.abs_tol:
-                return total
-        raise SeriesNotConverged(f"f1 series did not converge for xi={xi:g}")
-    if i == 2:
-        total = 0.0
-        for n in range(0, ctl.max_terms + 1):
-            c = 4.0 * bessel_j(2 * n + 1, xi) / (2 * n + 1)
-            s = math.sin((n + 0.5) * tau)
-            total += c * s * s
-            if 2 * n + 1 > abs(xi) and abs(c) < ctl.abs_tol:
-                return total
-        raise SeriesNotConverged(f"f2 series did not converge for xi={xi:g}")
+    if i in (1, 2):
+        cap = ctl.max_terms
+        return _bessel_series(lambda jn: _f_levels(jn, tau, cap, i), xi, abs(xi), 2 * cap + i, ctl, f"f{i}")
     if i == 3:
         return g_func(tau, xi, p, Phi, ctl).real
     if i == 4:

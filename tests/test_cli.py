@@ -117,6 +117,26 @@ def test_simulate_rejects_single_sample(tmp_path, capsys):
     assert main(["simulate", cfg, "--t-end", "0.01", "--samples", "1"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan", "{even}", "--sweep", "xi", "--from", "1", "--to", "1", "--points", "3"],
+        ["scan", "{bare}", "--sweep", "phi", "--from", "0", "--to", "90", "--points", "3"],
+        ["scan", "{even}", "--sweep", "xi", "--from", "1", "--to", "2", "--points", "3",
+         "--methods", "perturbative,bogus"],
+        ["simulate", "{even}", "--t-end", "inf", "--samples", "16"],
+    ],
+    ids=["equal-from-to", "phi-without-one-tuning", "unknown-method", "t-end-inf"],
+)
+def test_usage_errors_exit_2_without_traceback(tmp_path, capsys, argv):
+    paths = {"even": _write(tmp_path, "even.cfg", EVEN_HARMONIC_CFG),
+             "bare": _write(tmp_path, "bare.cfg", "[dressing]\nfrequency = 10\namplitude = 18\n")}
+    assert main([a.format(**paths) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_simulate_numeric_failure_exits_3(tmp_path, capsys, monkeypatch):
     def fail(*args, **kwargs):
         raise NoConvergence("forced")

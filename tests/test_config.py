@@ -1,5 +1,6 @@
 import math
 
+from hypothesis import given, settings, strategies as st
 import pytest
 
 from dressedspin.config import (
@@ -118,6 +119,41 @@ def test_scale_invariance_random_scale(rng):
         assert b.xi == pytest.approx(b0.xi, rel=1e-12)
         assert b.w0[0] == pytest.approx(b0.w0[0], rel=1e-12)
         assert b.tuning[0].strength == pytest.approx(b0.tuning[0].strength, rel=1e-12)
+
+
+_AMP = st.just(0.0) | st.floats(1e-3, 1e6)  # no subnormals: k*a must not round to 0
+_FREQ = _AMP | st.floats(-1e6, -1e-3)
+
+
+@settings(deadline=None)
+@given(
+    w0=st.tuples(_FREQ, _FREQ, _FREQ),
+    omega=st.floats(1e-3, 1e6),
+    omega_d=_AMP,
+    tuning=st.tuples(st.sampled_from("xyz"), _AMP, st.integers(1, 5), st.floats(0.0, 6.28)),
+    k=st.floats(1e-3, 1e3),
+    spin=st.sampled_from(("half", "one")),
+)
+def test_dimensionless_scale_invariance_property(w0, omega, omega_d, tuning, k, spin):
+    axis, amp, harmonic, phase = tuning
+
+    def config(scale):
+        return DriveConfiguration(
+            static=StaticField(*(v * scale for v in w0)),
+            dressing=DressingField(omega_d * scale, omega * scale),
+            tuning=(TuningComponent(axis, amp * scale, harmonic, phase),),
+            spin=spin,
+        )
+
+    b0, b = dimensionless(config(1.0)), dimensionless(config(k))
+    assert dimensionless(config(2.0**-7)) == b0  # power-of-two scales are exact
+    assert (b.spin, len(b.tuning)) == (b0.spin, len(b0.tuning))
+    # (a*k)/(w*k) vs a/w: three roundings against one
+    assert b.xi == pytest.approx(b0.xi, rel=1e-15, abs=0.0)
+    assert b.w0 == pytest.approx(b0.w0, rel=1e-15, abs=0.0)
+    for t, t0 in zip(b.tuning, b0.tuning):
+        assert (t.axis, t.harmonic, t.phase) == (t0.axis, t0.harmonic, t0.phase)
+        assert t.strength == pytest.approx(t0.strength, rel=1e-15, abs=0.0)
 
 
 def test_phase_normalisation():

@@ -1,11 +1,13 @@
 import cmath
 import math
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 import scipy.integrate
 import scipy.special
 
+from dressedspin import special
 from dressedspin.errors import SeriesNotConverged
 from dressedspin.fitting import bisect_root
 from dressedspin.special import DEFAULT_SERIES, SeriesControl, bessel_j, f_aux, g_func, phi
@@ -183,3 +185,202 @@ def test_series_not_converged():
         f_aux(1, 1.0, 40.0, ctl=ctl)
     with pytest.raises(SeriesNotConverged):
         g_func(1.0, 40.0, 2, 0.0, ctl)
+
+
+# Reference copies of the per-order routines: one full downward recurrence
+# per Bessel order, and one truncation loop per series.  The range form of
+# bessel_j and the shared truncation rule must reproduce them.
+
+
+def _per_order_bessel_j(n, x):
+    if n < 0:
+        raise ValueError("order n must be >= 0")
+    sign = 1.0
+    if x < 0.0:
+        x = -x
+        if n % 2:
+            sign = -1.0
+    if x == 0.0:
+        return 1.0 if n == 0 else 0.0
+    if x < 1e-7:
+        t = (0.5 * x) ** n / math.factorial(n)
+        return sign * t * (1.0 - 0.25 * x * x / (n + 1))
+    top = max(n, x)
+    m = int(top + 12.0 * max(4.0, top) ** (1.0 / 3.0)) + 22
+    if m % 2:
+        m += 1
+    jp, jc, target, norm = 0.0, 1.0, 0.0, 0.0
+    for k in range(m, 0, -1):
+        jm = (2.0 * k / x) * jc - jp
+        jp = jc
+        jc = jm
+        idx = k - 1
+        if idx == n:
+            target = jc
+        if idx > 0 and idx % 2 == 0:
+            norm += 2.0 * jc
+        if abs(jc) > 1e250:
+            jc /= 1e250
+            jp /= 1e250
+            norm /= 1e250
+            target /= 1e250
+    norm += jc
+    return sign * target / norm
+
+
+def _per_order_g(tau, xi, p, Phi, ctl):
+    eip = cmath.exp(1j * Phi)
+    emp = eip.conjugate()
+    total = 0.0 + 0.0j
+    min_level = max(p, int(abs(xi)) + 1)
+    for level in range(0, ctl.max_terms + 1):
+        jn_abs = _per_order_bessel_j(level, xi)
+        envelope = 0.0
+        for n in (level,) if level == 0 else (level, -level):
+            jn = jn_abs if (n >= 0 or level % 2 == 0) else -jn_abs
+            if n != -p:
+                k = n + p
+                total += 0.5 * eip * jn / (1j * k) * (cmath.exp(1j * k * tau) - 1.0)
+                envelope = max(envelope, abs(jn) / abs(k))
+            if n != p:
+                k = n - p
+                total += 0.5 * emp * jn / (1j * k) * (cmath.exp(1j * k * tau) - 1.0)
+                envelope = max(envelope, abs(jn) / abs(k))
+        if level >= min_level and envelope < ctl.abs_tol:
+            return total
+    raise SeriesNotConverged("g")
+
+
+def _per_order_f12(i, tau, xi, ctl):
+    total = 0.0
+    for n in range(1 if i == 1 else 0, ctl.max_terms + 1):
+        if i == 1:
+            c = _per_order_bessel_j(2 * n, xi) / n
+            total += c * math.sin(2 * n * tau)
+            order = 2 * n
+        else:
+            c = 4.0 * _per_order_bessel_j(2 * n + 1, xi) / (2 * n + 1)
+            s = math.sin((n + 0.5) * tau)
+            total += c * s * s
+            order = 2 * n + 1
+        if order > abs(xi) and abs(c) < ctl.abs_tol:
+            return total
+    raise SeriesNotConverged(f"f{i}")
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except SeriesNotConverged:
+        return SeriesNotConverged
+
+
+def test_scalar_bessel_bit_identical_to_per_order_recurrence():
+    xs = [float(x) for x in np.linspace(-60.0, 60.0, 481)] + [0.0, -0.0, 5e-8, -5e-8, 9.99e-8, 1e-300]
+    mismatches = [(n, x) for n in range(25) for x in xs if bessel_j(n, x) != _per_order_bessel_j(n, x)]
+    assert mismatches == []
+
+
+def test_bessel_table_against_scipy():
+    # 130 orders is every order a series can request (f2 at the default cap)
+    worst = 0.0
+    for x in np.linspace(-50.0, 50.0, 401):
+        table = np.array(bessel_j(range(130), float(x)))
+        worst = max(worst, float(np.max(np.abs(table - scipy.special.jv(np.arange(130), x)))))
+    assert worst < 1e-12
+
+
+def test_bessel_range_form_edges():
+    assert bessel_j(range(0), 1.3) == []
+    assert bessel_j(range(3), 0.0) == [1.0, 0.0, 0.0]
+    tiny = bessel_j(range(4), -5e-8)
+    assert tiny == [bessel_j(n, -5e-8) for n in range(4)]
+    assert bessel_j(range(3, 6), 2.5) == pytest.approx([bessel_j(n, 2.5) for n in range(3, 6)], abs=1e-15)
+    with pytest.raises(ValueError):
+        bessel_j(range(0, 6, 2), 1.0)
+    with pytest.raises(ValueError):
+        bessel_j(range(-1, 3), 1.0)
+
+
+@settings(deadline=None)
+@given(
+    n=st.integers(0, 40),
+    extra=st.integers(0, 90),
+    x=st.floats(-50.0, 50.0, allow_nan=False),
+)
+def test_table_element_matches_scalar_call(n, extra, x):
+    # the table seeds its recurrence above order n + extra, the scalar call above n
+    assert abs(bessel_j(range(n + extra + 1), x)[n] - bessel_j(n, x)) <= 1e-15
+
+
+def test_orders_past_the_miller_seed_are_negligible():
+    # a series table stops at the Miller seed of past = max(|xi|, p - 1) and reads the orders beyond as zero
+    for x in np.linspace(-60.0, 60.0, 481):
+        for p in range(1, 4):
+            order = special._miller_seed(max(abs(x), p - 1)) + 1
+            assert abs(scipy.special.jv(order, x)) < 2e-28
+
+
+_SERIES_GRID_CTLS = (DEFAULT_SERIES, SeriesControl(max_terms=8), SeriesControl(abs_tol=1e-6, max_terms=20))
+_SERIES_GRID_XI = (0.0, 1e-8, 1e-3, 0.1, 0.5, 1.0, 2.0, 2.404825557695773, 3.0, 3.83, 4.0, 5.5, 7.0,
+                   10.0, 16.0, 22.5, 30.0, 40.0, 45.0, 60.0, -2.7, -9.0)
+
+
+def test_series_match_per_order_series_and_fail_on_the_same_cells():
+    worst = 0.0
+    raised = 0
+    for ctl in _SERIES_GRID_CTLS:
+        for xi in _SERIES_GRID_XI:
+            for tau in (0.0, 0.9, 2.5, 5.0):
+                cells = [((i, tau, xi, 1, 0.0, ctl), _outcome(_per_order_f12, i, tau, xi, ctl)) for i in (1, 2)]
+                for p in (1, 2, 3):
+                    for Phi in (0.0, 1.2):
+                        ref = _outcome(_per_order_g, tau, xi, p, Phi, ctl)
+                        assert type(_outcome(g_func, tau, xi, p, Phi, ctl)) is type(ref)
+                        if ref is not SeriesNotConverged:
+                            worst = max(worst, abs(g_func(tau, xi, p, Phi, ctl) - ref))
+                            cells += [((3, tau, xi, p, Phi, ctl), ref.real), ((4, tau, xi, p, Phi, ctl), ref.imag)]
+                        else:
+                            cells += [((3, tau, xi, p, Phi, ctl), ref), ((4, tau, xi, p, Phi, ctl), ref)]
+                for args, ref in cells:
+                    got = _outcome(f_aux, *args)
+                    if ref is SeriesNotConverged:
+                        raised += 1
+                        assert got is SeriesNotConverged, args
+                    else:
+                        assert got is not SeriesNotConverged, args
+                        worst = max(worst, abs(got - ref))
+    assert worst <= 1e-14
+    assert raised > 0
+    # the default cap is reached by g at xi = 40 and 60
+    for xi in (40.0, 60.0):
+        with pytest.raises(SeriesNotConverged):
+            g_func(1.0, xi, 2, 0.0)
+        with pytest.raises(SeriesNotConverged):
+            f_aux(3, 1.0, xi, 1, 0.0)
+
+
+def test_series_at_nan_xi_raise_series_not_converged():
+    for i in (1, 2, 3, 4):
+        with pytest.raises(SeriesNotConverged):
+            f_aux(i, 0.5, math.nan, 2, 0.3)
+
+
+def test_one_bessel_call_per_series_evaluation(monkeypatch):
+    calls = []
+
+    def counting(n, x):
+        calls.append(n)
+        return bessel_j(n, x)
+
+    monkeypatch.setattr(special, "bessel_j", counting)
+    for evaluate in (
+        lambda: f_aux(1, 0.7, 3.1),
+        lambda: f_aux(2, 0.7, 3.1),
+        lambda: f_aux(3, 0.7, 3.1, 2, 0.4),
+        lambda: f_aux(4, 0.7, 3.1, 1, 0.4),
+        lambda: g_func(0.7, 3.1, 3, 1.9),
+    ):
+        calls.clear()
+        evaluate()
+        assert len(calls) == 1 and isinstance(calls[0], range)
