@@ -314,13 +314,15 @@ def calibrate(ratio_data, omega0z: float, omega: float = None) -> CalibrationFit
     with Omega0 the tuning-off precession law.  Fits with |tilt| > 0.2 are
     rejected as unphysical.
     """
-    if omega is not None and not omega > 0.0:
-        raise ValueError("omega must be > 0")
+    if omega is not None and not 0.0 < omega < math.inf:
+        raise ValueError("omega must be finite and > 0")
     data = [(float(w), float(r)) for w, r in ratio_data]
     if len(data) < 5:
         raise DegenerateData(f"need at least 5 data points, got {len(data)}")
     wx = np.array([d[0] for d in data])
     ratios = np.array([d[1] for d in data])
+    if not (np.all(np.isfinite(wx)) and np.all(np.isfinite(ratios))):
+        raise DegenerateData("omega0x and ratio values must be finite")
     if np.all(wx == wx[0]):
         raise DegenerateData("all omega0x values equal; scale and tilt are unidentifiable")
     if np.any(ratios <= 0.0):

@@ -150,6 +150,8 @@ def cmd_scan(args) -> int:
     config = _load(args)
     if args.points < 2:
         raise ConfigFileError("--points must be >= 2", source="<args>", key="points")
+    if args.jobs < 1:
+        raise ConfigFileError("--jobs must be >= 1", source="<args>", key="jobs")
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
     lo, hi = args.start, args.stop
     if args.sweep == "phi":
@@ -229,6 +231,8 @@ def _read_ratio_csv(path):
 
 
 def cmd_calibrate(args) -> int:
+    if args.omega is not None and not 0.0 < args.omega < math.inf:
+        raise ConfigFileError("--omega must be finite and > 0", source="<args>", key="omega")
     omega0z = args.omega0z * _KHZ
     omega = args.omega * _KHZ if args.omega is not None else None
     if args.synthetic:

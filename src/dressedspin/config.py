@@ -70,8 +70,8 @@ class TuningComponent:
         ph = float(self.phase)
         if math.isfinite(ph):
             ph = math.fmod(ph, TWO_PI)
-            if ph < 0.0:
-                ph += TWO_PI
+            if ph < 0.0:  # a tiny negative phase rounds up to 2*pi: fold that to 0
+                ph = math.fmod(ph + TWO_PI, TWO_PI)
         object.__setattr__(self, "phase", ph)
 
 

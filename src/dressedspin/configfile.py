@@ -21,10 +21,13 @@ phases are suffix-tagged with "deg" or "rad"):
     harmonic = 1
     phase = 90deg    # or 1.5708rad
 
-Parse errors report the source, line number and key.  Overrides are dotted
-paths applied after the file parse, using the same value syntax:
-``static.x=3.5``, ``dressing.frequency=9``, ``tuning.0.phase=45deg``,
-``spin=one``.
+Every file key is also an override path (``--set`` on the CLI), with the
+same value syntax and units: the key ``k`` of section ``[s]`` is ``s.k``, of
+the N-th ``[[tuning]]`` block (from 0) ``tuning.N.k``, and a top-level key is
+its bare name, e.g. ``static.x=3.5``, ``dressing.frequency=9``,
+``tuning.0.phase=45deg``, ``spin=one``.  Overrides apply after the file
+parse.  File errors report the source, line number and bare key; override
+errors report ``<override>`` and the whole path.
 """
 
 import math
@@ -44,11 +47,6 @@ __all__ = ["load_config", "parse_config_text", "apply_overrides"]
 _KHZ = 2.0 * math.pi * 1e3
 
 
-def _strip_comment(line: str) -> str:
-    pos = line.find("#")
-    return line if pos < 0 else line[:pos]
-
-
 def _unquote(raw: str) -> str:
     raw = raw.strip()
     if len(raw) >= 2 and raw[0] == raw[-1] and raw[0] in "'\"":
@@ -56,45 +54,93 @@ def _unquote(raw: str) -> str:
     return raw
 
 
-def _parse_float(raw, *, source, line, key):
+def _parse_float(raw, **loc):
     try:
         return float(raw)
     except ValueError:
-        raise ConfigFileError(f"expected a number, got {raw!r}", source=source, line=line, key=key) from None
+        raise ConfigFileError(f"expected a number, got {raw!r}", **loc) from None
 
 
-def _parse_int(raw, *, source, line, key):
+def _parse_int(raw, **loc):
     try:
         return int(raw)
     except ValueError:
-        raise ConfigFileError(f"expected an integer, got {raw!r}", source=source, line=line, key=key) from None
+        raise ConfigFileError(f"expected an integer, got {raw!r}", **loc) from None
 
 
-def _parse_phase(raw, *, source, line, key):
+def _parse_phase(raw, **loc):
     raw = _unquote(raw)
     if raw.endswith("deg"):
-        return math.radians(_parse_float(raw[:-3], source=source, line=line, key=key))
+        return math.radians(_parse_float(raw[:-3], **loc))
     if raw.endswith("rad"):
-        return _parse_float(raw[:-3], source=source, line=line, key=key)
-    raise ConfigFileError(
-        f"phase needs a 'deg' or 'rad' suffix (e.g. 90deg, 1.5708rad), got {raw!r}",
-        source=source,
-        line=line,
-        key=key,
-    )
+        return _parse_float(raw[:-3], **loc)
+    raise ConfigFileError(f"phase needs a 'deg' or 'rad' suffix (e.g. 90deg, 1.5708rad), got {raw!r}", **loc)
+
+
+def _text(raw, **_loc):
+    return _unquote(raw).lower()
+
+
+def _khz(raw, **loc):
+    return _parse_float(raw, **loc) * _KHZ
+
+
+# The key schema, in one place: section -> key -> (field, value parser).  The
+# file key ``k`` in section ``s`` is the override path ``s.k`` (``tuning.N.k``
+# in the N-th [[tuning]] block, plain ``k`` at the top level); both routes
+# assign through ``_assign``.  A section name is the DriveConfiguration
+# attribute that holds its fields.
+_SCHEMA = {
+    "": {"spin": ("spin", _text)},
+    "static": {"x": ("omega0x", _khz), "y": ("omega0y", _khz), "z": ("omega0z", _khz)},
+    "dressing": {"frequency": ("omega", _khz), "amplitude": ("omega_d", _khz)},
+    "tuning": {
+        "axis": ("axis", _text),
+        "amplitude": ("amplitude", _khz),
+        "harmonic": ("harmonic", _parse_int),
+        "phase": ("phase", _parse_phase),
+    },
+}
+
+
+def _assign(config, path, text, *, source, line=None, key=None):
+    """Return ``config`` with the value at dotted ``path`` parsed from ``text``.
+
+    Errors carry ``key`` (a file passes the bare key), else the whole path.
+    """
+    loc = {"source": source, "line": line, "key": path if key is None else key}
+    head, _, name = path.rpartition(".")
+    section, indexed, index = head.partition(".")
+    fields = _SCHEMA.get(section)
+    if fields is None or bool(indexed) != (section == "tuning"):
+        raise ConfigFileError("unknown key path", **loc)
+    if name not in fields:
+        where = f"in [[{section}]]" if indexed else f"in [{section}]" if section else "at the top level"
+        raise ConfigFileError(f"unknown key {where} (use {', '.join(fields)})", **loc)
+    field, parse = fields[name]
+    if indexed:
+        idx = _parse_int(index, **loc)
+        if not 0 <= idx < len(config.tuning):
+            raise ConfigFileError(f"no tuning component with index {idx} (have {len(config.tuning)})", **loc)
+    value = {field: parse(text, **loc)}
+    if not section:
+        return replace(config, **value)
+    if not indexed:
+        return replace(config, **{section: replace(getattr(config, section), **value)})
+    tuning = list(config.tuning)
+    tuning[idx] = replace(tuning[idx], **value)
+    return replace(config, tuning=tuple(tuning))
 
 
 def parse_config_text(text: str, source: str = "<config>") -> DriveConfiguration:
     """Parse configuration text into a DriveConfiguration (not yet validated)."""
-    spin = "half"
-    static = {"x": 0.0, "y": 0.0, "z": 0.0}
-    dressing = {}
-    tuning_blocks = []  # list of (line, dict)
-    seen = set()  # (section-id, key) pairs for duplicate detection
+    config = DriveConfiguration(static=StaticField(), dressing=DressingField(omega_d=0.0, omega=0.0))
+    blocks = []  # header line of each [[tuning]] block
+    seen = set()  # assigned paths, for duplicate and required-key checks
 
-    section = None  # None (top), "static", "dressing", or index into tuning_blocks
+    section = ""  # path prefix of the current section: "", "static", "dressing" or "tuning.N"
     for lineno, rawline in enumerate(text.splitlines(), start=1):
-        stripped = _strip_comment(rawline).strip()
+        stripped = rawline.partition("#")[0].strip()
         if not stripped:
             continue
         if stripped.startswith("[["):
@@ -103,8 +149,10 @@ def parse_config_text(text: str, source: str = "<config>") -> DriveConfiguration
             name = stripped[2:-2].strip().lower()
             if name != "tuning":
                 raise ConfigFileError(f"unknown section [[{name}]]", source=source, line=lineno)
-            tuning_blocks.append((lineno, {}))
-            section = len(tuning_blocks) - 1
+            section = f"tuning.{len(blocks)}"
+            blocks.append(lineno)
+            blank = TuningComponent(axis="", amplitude=0.0, harmonic=0)
+            config = replace(config, tuning=config.tuning + (blank,))
             continue
         if stripped.startswith("["):
             if not stripped.endswith("]"):
@@ -121,71 +169,21 @@ def parse_config_text(text: str, source: str = "<config>") -> DriveConfiguration
         value = value.strip()
         if not value:
             raise ConfigFileError("missing value", source=source, line=lineno, key=key)
+        if "." in key:
+            raise ConfigFileError("dotted key (use a section header)", source=source, line=lineno, key=key)
+        path = f"{section}.{key}" if section else key
+        if path in seen:
+            raise ConfigFileError("duplicate key", source=source, line=lineno, key=path)
+        seen.add(path)
+        config = _assign(config, path, value, source=source, line=lineno, key=key)
 
-        sect_id = section if isinstance(section, str) else f"tuning[{section}]" if section is not None else ""
-        if (sect_id, key) in seen:
-            raise ConfigFileError("duplicate key", source=source, line=lineno, key=f"{sect_id or 'top level'}.{key}")
-        seen.add((sect_id, key))
-
-        if section is None:
-            if key == "spin":
-                spin = _unquote(value).lower()
-            else:
-                raise ConfigFileError("unknown top-level key", source=source, line=lineno, key=key)
-        elif section == "static":
-            if key not in static:
-                raise ConfigFileError("unknown key in [static] (use x, y, z)", source=source, line=lineno, key=key)
-            static[key] = _parse_float(value, source=source, line=lineno, key=key) * _KHZ
-        elif section == "dressing":
-            if key not in ("frequency", "amplitude"):
-                raise ConfigFileError(
-                    "unknown key in [dressing] (use frequency, amplitude)", source=source, line=lineno, key=key
-                )
-            dressing[key] = _parse_float(value, source=source, line=lineno, key=key) * _KHZ
-        else:
-            blk = tuning_blocks[section][1]
-            if key == "axis":
-                blk["axis"] = _unquote(value).lower()
-            elif key == "amplitude":
-                blk["amplitude"] = _parse_float(value, source=source, line=lineno, key=key) * _KHZ
-            elif key == "harmonic":
-                blk["harmonic"] = _parse_int(value, source=source, line=lineno, key=key)
-            elif key == "phase":
-                blk["phase"] = _parse_phase(value, source=source, line=lineno, key=key)
-            else:
-                raise ConfigFileError(
-                    "unknown key in [[tuning]] (use axis, amplitude, harmonic, phase)",
-                    source=source,
-                    line=lineno,
-                    key=key,
-                )
-
-    if "frequency" not in dressing:
+    if "dressing.frequency" not in seen:
         raise ConfigFileError("missing required key", source=source, key="dressing.frequency")
-    dressing.setdefault("amplitude", 0.0)
-
-    components = []
-    for blockline, blk in tuning_blocks:
+    for i, blockline in enumerate(blocks):
         for req in ("axis", "amplitude", "harmonic"):
-            if req not in blk:
-                raise ConfigFileError(
-                    "missing required key in [[tuning]]", source=source, line=blockline, key=req
-                )
-        components.append(
-            TuningComponent(
-                axis=blk["axis"],
-                amplitude=blk["amplitude"],
-                harmonic=blk["harmonic"],
-                phase=blk.get("phase", 0.0),
-            )
-        )
-
-    return DriveConfiguration(
-        static=StaticField(omega0x=static["x"], omega0y=static["y"], omega0z=static["z"]),
-        dressing=DressingField(omega_d=dressing["amplitude"], omega=dressing["frequency"]),
-        tuning=tuple(components),
-        spin=spin,
-    )
+            if f"tuning.{i}.{req}" not in seen:
+                raise ConfigFileError("missing required key in [[tuning]]", source=source, line=blockline, key=req)
+    return config
 
 
 def load_config(path) -> DriveConfiguration:
@@ -199,42 +197,5 @@ def apply_overrides(config: DriveConfiguration, overrides) -> DriveConfiguration
         if "=" not in item:
             raise ConfigFileError("override must look like path=value", source="<override>", key=item)
         path, _, value = item.partition("=")
-        path = path.strip().lower()
-        value = value.strip()
-        parts = path.split(".")
-        src = "<override>"
-
-        if parts == ["spin"]:
-            config = replace(config, spin=_unquote(value).lower())
-        elif len(parts) == 2 and parts[0] == "static" and parts[1] in ("x", "y", "z"):
-            val = _parse_float(value, source=src, line=None, key=path) * _KHZ
-            config = replace(config, static=replace(config.static, **{f"omega0{parts[1]}": val}))
-        elif len(parts) == 2 and parts[0] == "dressing" and parts[1] in ("frequency", "amplitude"):
-            val = _parse_float(value, source=src, line=None, key=path) * _KHZ
-            field = "omega" if parts[1] == "frequency" else "omega_d"
-            config = replace(config, dressing=replace(config.dressing, **{field: val}))
-        elif len(parts) == 3 and parts[0] == "tuning":
-            idx = _parse_int(parts[1], source=src, line=None, key=path)
-            if not 0 <= idx < len(config.tuning):
-                raise ConfigFileError(
-                    f"no tuning component with index {idx} (have {len(config.tuning)})",
-                    source=src,
-                    key=path,
-                )
-            comp = config.tuning[idx]
-            if parts[2] == "axis":
-                comp = replace(comp, axis=_unquote(value).lower())
-            elif parts[2] == "amplitude":
-                comp = replace(comp, amplitude=_parse_float(value, source=src, line=None, key=path) * _KHZ)
-            elif parts[2] == "harmonic":
-                comp = replace(comp, harmonic=_parse_int(value, source=src, line=None, key=path))
-            elif parts[2] == "phase":
-                comp = replace(comp, phase=_parse_phase(value, source=src, line=None, key=path))
-            else:
-                raise ConfigFileError("unknown tuning field", source=src, key=path)
-            tuning = list(config.tuning)
-            tuning[idx] = comp
-            config = replace(config, tuning=tuple(tuning))
-        else:
-            raise ConfigFileError("unknown override path", source=src, key=path)
+        config = _assign(config, path.strip().lower(), value.strip(), source="<override>")
     return config

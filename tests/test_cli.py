@@ -125,15 +125,26 @@ def test_simulate_rejects_single_sample(tmp_path, capsys):
         ["scan", "{even}", "--sweep", "xi", "--from", "1", "--to", "2", "--points", "3",
          "--methods", "perturbative,bogus"],
         ["simulate", "{even}", "--t-end", "inf", "--samples", "16"],
+        ["calibrate", "--omega0z", "5.979", "--omega", "0", "--synthetic"],
+        ["calibrate", "--omega0z", "5.979", "--omega", "-3", "--synthetic"],
+        ["calibrate", "--omega0z", "5.979", "--omega", "nan", "--synthetic"],
+        ["calibrate", "--omega0z", "5.979", "--omega", "inf", "--synthetic"],
+        ["scan", "{even}", "--sweep", "xi", "--from", "1", "--to", "2", "--points", "2", "--jobs", "0"],
+        ["scan", "{even}", "--sweep", "xi", "--from", "1", "--to", "2", "--points", "2", "--jobs", "-2"],
     ],
-    ids=["equal-from-to", "phi-without-one-tuning", "unknown-method", "t-end-inf"],
+    ids=["equal-from-to", "phi-without-one-tuning", "unknown-method", "t-end-inf",
+         "omega-zero", "omega-negative", "omega-nan", "omega-inf", "jobs-zero", "jobs-negative"],
 )
-def test_usage_errors_exit_2_without_traceback(tmp_path, capsys, argv):
+def test_usage_errors_exit_2_without_traceback(tmp_path, capsys, monkeypatch, argv):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("a rejected scan must not start")
+
+    monkeypatch.setattr(cli, "run_scan", no_scan)
     paths = {"even": _write(tmp_path, "even.cfg", EVEN_HARMONIC_CFG),
              "bare": _write(tmp_path, "bare.cfg", "[dressing]\nfrequency = 10\namplitude = 18\n")}
     assert main([a.format(**paths) for a in argv]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ")
+    assert err.startswith("error: <args>")
     assert "Traceback" not in err
 
 
@@ -263,6 +274,24 @@ def test_calibrate_single_row_exits_4(tmp_path, capsys):
     data = tmp_path / "one.csv"
     data.write_text("omega0x_kHz,ratio\n0.0,0.32\n")
     assert main(["calibrate", str(data), "--omega0z", "5.979"]) == 4
+
+
+@pytest.mark.parametrize(
+    "row, cell", [(0, "ratio"), (3, "ratio"), (3, "omega0x_kHz")], ids=["zero-field-ratio", "ratio", "omega0x"]
+)
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_calibrate_non_finite_data_exits_4(tmp_path, capsys, row, cell, bad):
+    from dressedspin.analysis import synthetic_calibration_data
+
+    rows = synthetic_calibration_data([w * KHZ for w in (0, 2, 4, 6, 8, 10, 12)], omega0z=5.979 * KHZ, xi=1.833)
+    cells = [[f"{w / KHZ}", f"{r}"] for w, r in rows]
+    cells[row][["omega0x_kHz", "ratio"].index(cell)] = bad
+    data = tmp_path / "ratios.csv"
+    data.write_text("omega0x_kHz,ratio\n" + "".join(",".join(c) + "\n" for c in cells))
+    assert main(["calibrate", str(data), "--omega0z", "5.979"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: DegenerateData: ")
+    assert "finite" in err
 
 
 def test_calibrate_reads_csv_roundtrip(tmp_path, capsys):

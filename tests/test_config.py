@@ -163,6 +163,10 @@ def test_phase_normalisation():
     assert b.phase == pytest.approx(a.phase, abs=1e-12)
     c = TuningComponent(axis="y", amplitude=1.0, harmonic=1, phase=-0.5)
     assert c.phase == pytest.approx(2 * math.pi - 0.5, abs=1e-12)
+    # a negative phase that rounds up to 2*pi folds to 0, so normalising twice changes nothing
+    d = TuningComponent(axis="y", amplitude=1.0, harmonic=1, phase=-1e-300)
+    assert d.phase == 0.0
+    assert TuningComponent(axis="y", amplitude=1.0, harmonic=1, phase=c.phase).phase == c.phase
 
 
 def test_tuning_on():
