@@ -388,6 +388,8 @@ def synthetic_calibration_data(
     noise is the multiplicative 1-sigma level applied independently to the
     dressed and undressed synthetic frequency measurements, drawn from the
     seeded Lcg64 generator (see fitting.Lcg64); the ratio inherits both.
+    A grid point with no field at all (undressed frequency 0) has no ratio
+    and raises DegenerateData.
     """
     rng = Lcg64(seed)
     rows = []
@@ -396,6 +398,8 @@ def synthetic_calibration_data(
         wz = omega0z + tilt * wx
         dressed = bare_precession(wx, wz, xi)
         undressed = math.hypot(wx, wz)
+        if undressed == 0.0:
+            raise DegenerateData(f"undressed frequency is 0 at omega0x = {float(w_nom):g} rad/s; no ratio is defined")
         if noise:
             dressed *= 1.0 + noise * rng.normal()
             undressed *= 1.0 + noise * rng.normal()

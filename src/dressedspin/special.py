@@ -10,10 +10,25 @@ Each evaluation of f1, f2 or g reads one table of J_n from one Bessel
 recurrence and follows one SeriesControl contract: terms are added until
 the tau-independent envelope of the next term drops below ``abs_tol``;
 hitting ``max_terms`` first raises SeriesNotConverged.
+
+Only tau varies along a P1 diagnostic, so the tau-independent work is
+memoised in two bounded least-recently-used caches:
+
+- ``_bessel_table`` holds the normalised J_0..J_{hi-1}(|x|) of one Miller
+  recurrence, keyed on (hi, |x|), at most ``_TABLE_CACHE`` tables;
+  ``bessel_j`` applies the sign of x and returns a fresh list or a float.
+- ``_g_coefficients`` holds the per-level (k, c) pairs of g up to its stop
+  level, keyed on (xi, p, Phi, SeriesControl), at most ``_G_CACHE`` sets;
+  each g evaluation sums c*(exp(i k tau) - 1) over them.
+
+A cached value is the one the same float operations give on a miss, keyed
+on every input they read, and an exception (SeriesNotConverged) is never
+cached, so results do not depend on cache state or call history.
 """
 
 from dataclasses import dataclass
 import cmath
+import functools
 import math
 
 from .errors import SeriesNotConverged
@@ -47,6 +62,12 @@ DEFAULT_SERIES = SeriesControl()
 # Rescaling threshold for the downward recurrence.
 _BIG = 1e250
 
+# Memo bounds.  One P1 diagnostic, all at one xi, reads a J_n table per order
+# rectified_field needs, one or two series tables and one g coefficient set
+# per tuning component; the rest is headroom for callers that interleave.
+_TABLE_CACHE = 32
+_G_CACHE = 8
+
 
 def _miller_seed(top) -> int:
     """Even starting order of the downward recurrence for orders and
@@ -55,66 +76,72 @@ def _miller_seed(top) -> int:
     return m + m % 2
 
 
+@functools.lru_cache(maxsize=_TABLE_CACHE)
+def _bessel_table(hi, x):
+    """(J_0(x), ..., J_{hi-1}(x)) for x >= 0 from one recurrence seeded
+    above max(hi - 1, x)."""
+    if x < 1e-7:  # leading series terms (exact at 0); recurrence ratios 2k/x get needlessly huge
+        return tuple(((0.5 * x) ** k / math.factorial(k)) * (1.0 - 0.25 * x * x / (k + 1)) for k in range(hi))
+    low = [0.0] * hi  # unnormalised J_0..J_{hi-1}
+    jp = 0.0  # J_{k+1}, unnormalised
+    jc = 1.0  # J_k
+    norm = 0.0  # accumulates J_0 + 2*sum_{k even > 0} J_k
+    for k in range(_miller_seed(max(hi - 1, x)), 0, -1):
+        jm = (2.0 * k / x) * jc - jp
+        jp = jc
+        jc = jm
+        idx = k - 1
+        if idx < hi:
+            low[idx] = jc
+        if idx > 0 and idx % 2 == 0:
+            norm += 2.0 * jc
+        if abs(jc) > _BIG:
+            jc /= _BIG
+            jp /= _BIG
+            norm /= _BIG
+            low = [v / _BIG for v in low]
+    norm += jc  # J_0 term
+    return tuple([v / norm for v in low])
+
+
 def bessel_j(n, x: float):
     """Bessel function of the first kind J_n(x) for integer n >= 0.
 
-    n is an order (returns a float) or a range such as range(N) (returns the
-    list J_0(x)..J_{N-1}(x) from one recurrence; one order is its one-element
-    case).  Downward recurrence with normalisation (Miller's algorithm),
-    seeded above the highest requested order.  Absolute error below 1e-12
-    for |x| <= 50, n < 130 (checked against scipy and an independent
-    power-series oracle in the tests).  J_n(-x) = (-1)^n J_n(x).
+    n is an order (returns a float) or a range such as range(N) (returns a
+    new list J_0(x)..J_{N-1}(x) from one recurrence; one order is its
+    one-element case).  Downward recurrence with normalisation (Miller's
+    algorithm), seeded above the highest requested order.  Absolute error
+    below 1e-12 for |x| <= 50, n < 130 (checked against scipy and an
+    independent power-series oracle in the tests).  J_n(-x) = (-1)^n J_n(x).
     """
-    orders = n if isinstance(n, range) else range(n, n + 1)
-    lo, hi = orders.start, orders.stop
-    if orders.step != 1 or lo < 0:
+    orders = isinstance(n, range)
+    lo, hi = (n.start, n.stop) if orders else (n, n + 1)
+    if lo < 0 or orders and n.step != 1:
         raise ValueError("order n must be >= 0 (a range of orders: step 1)")
+    table = _bessel_table(hi, abs(float(x)))  # float(x): a NumPy scalar shares the key of its float
     neg = x < 0.0
-    x = abs(x)
-    if x < 1e-7:  # leading series terms (exact at 0); recurrence ratios 2k/x get needlessly huge
-        out = [(-1.0 if neg and k % 2 else 1.0) * ((0.5 * x) ** k / math.factorial(k))
-               * (1.0 - 0.25 * x * x / (k + 1)) for k in orders]
-    else:
-        low = [0.0] * hi  # unnormalised J_0..J_{hi-1}
-        jp = 0.0  # J_{k+1}, unnormalised
-        jc = 1.0  # J_k
-        norm = 0.0  # accumulates J_0 + 2*sum_{k even > 0} J_k
-        for k in range(_miller_seed(max(hi - 1, x)), 0, -1):
-            jm = (2.0 * k / x) * jc - jp
-            jp = jc
-            jc = jm
-            idx = k - 1
-            if idx < hi:
-                low[idx] = jc
-            if idx > 0 and idx % 2 == 0:
-                norm += 2.0 * jc
-            if abs(jc) > _BIG:
-                jc /= _BIG
-                jp /= _BIG
-                norm /= _BIG
-                low = [v / _BIG for v in low]
-        norm += jc  # J_0 term
-        out = [(-low[k] if neg and k % 2 else low[k]) / norm for k in orders]
-    return out if isinstance(n, range) else out[0]
+    if not orders:
+        return -table[n] if neg and n % 2 else table[n]
+    return [-table[k] if k % 2 else table[k] for k in n] if neg else list(table[lo:])
 
 
-def _bessel_series(levels, xi, past, size, ctl: SeriesControl, name):
-    """Sum a Bessel series under the SeriesControl contract.
+def _series_terms(levels, xi, past, size, ctl: SeriesControl, name):
+    """Yield the terms of a Bessel series under the SeriesControl contract.
 
     levels(jn) yields (order, envelope, term) per level, up to the term cap,
     from jn = [J_0(xi), ..., J_{size-1}(xi)] of one bessel_j recurrence.  The
-    sum stops after the first level of order > past (past >= |xi|, where J_n
-    decays monotonically) whose envelope is below abs_tol.  jn stops at the
-    Miller seed of past: the orders beyond are below 2e-28 (checked against
-    scipy in the tests) and read as zero, so an abs_tol below that stops
-    there rather than at the cap."""
+    series stops after the first level of order > past (past >= |xi|, where
+    J_n decays monotonically) whose envelope is below abs_tol, and raises
+    SeriesNotConverged at the cap.  jn stops at the Miller seed of past: the
+    orders beyond are below 2e-28 (checked against scipy in the tests) and
+    read as zero, so an abs_tol below that stops there rather than at the
+    cap."""
     computed = min(size, _miller_seed(min(size, past)) + 1)  # a NaN xi sums to SeriesNotConverged
     jn = bessel_j(range(computed), xi) + [0.0] * (size - computed)
-    total = 0.0
     for order, envelope, term in levels(jn):
-        total += term
+        yield term
         if order > past and envelope < ctl.abs_tol:
-            return total
+            return
     raise SeriesNotConverged(f"{name} series: {ctl.max_terms} levels with envelope >= {ctl.abs_tol:g} (xi={xi:g})")
 
 
@@ -123,17 +150,25 @@ def phi(tau: float, xi: float) -> float:
     return xi * math.sin(tau)
 
 
-def _g_levels(jn, tau, p, Phi, cap):
+def _g_levels(jn, p, Phi, cap):
     eip = cmath.exp(1j * Phi)
     for level in range(cap + 1):
-        term = envelope = 0.0
+        pairs = []
+        envelope = 0.0
         for n in (level,) if level == 0 else (level, -level):
             j = jn[level] if (n >= 0 or level % 2 == 0) else -jn[level]
             for k, e in ((n + p, eip), (n - p, eip.conjugate())):
                 if k:  # n = -p and n = +p are the secular terms
-                    term += 0.5 * e * j / (1j * k) * (cmath.exp(1j * k * tau) - 1.0)
+                    pairs.append((k, 0.5 * e * j / (1j * k)))
                     envelope = max(envelope, abs(j) / abs(k))
-        yield level, envelope, term
+        yield level, envelope, tuple(pairs)
+
+
+@functools.lru_cache(maxsize=_G_CACHE)
+def _g_coefficients(xi, p, Phi, ctl):
+    """The (k, c) pairs of each level of g up to its stop level."""
+    cap = ctl.max_terms  # summed in levels |n|, stopping only past both resonant indices and |xi|
+    return tuple(_series_terms(lambda jn: _g_levels(jn, p, Phi, cap), xi, max(abs(xi), p - 1), cap + 1, ctl, "g"))
 
 
 def g_func(tau: float, xi: float, p: int, Phi: float, ctl: SeriesControl = DEFAULT_SERIES):
@@ -146,8 +181,13 @@ def g_func(tau: float, xi: float, p: int, Phi: float, ctl: SeriesControl = DEFAU
     """
     if p < 1:
         raise ValueError("harmonic p must be >= 1")
-    cap = ctl.max_terms  # summed in levels |n|, stopping only past both resonant indices and |xi|
-    return _bessel_series(lambda jn: _g_levels(jn, tau, p, Phi, cap), xi, max(abs(xi), p - 1), cap + 1, ctl, "g")
+    total = 0.0
+    for pairs in _g_coefficients(xi, p, Phi, ctl):
+        term = 0.0
+        for k, c in pairs:
+            term += c * (cmath.exp(1j * k * tau) - 1.0)
+        total += term
+    return total
 
 
 def _f_levels(jn, tau, cap, i):
@@ -170,7 +210,10 @@ def f_aux(i: int, tau: float, xi: float, p: int = 1, Phi: float = 0.0,
     """
     if i in (1, 2):
         cap = ctl.max_terms
-        return _bessel_series(lambda jn: _f_levels(jn, tau, cap, i), xi, abs(xi), 2 * cap + i, ctl, f"f{i}")
+        total = 0.0
+        for term in _series_terms(lambda jn: _f_levels(jn, tau, cap, i), xi, abs(xi), 2 * cap + i, ctl, f"f{i}"):
+            total += term
+        return total
     if i == 3:
         return g_func(tau, xi, p, Phi, ctl).real
     if i == 4:

@@ -264,6 +264,14 @@ def test_calibrate_synthetic_seeded(capsys):
     assert abs(scale - 1.0) <= 0.04
 
 
+def test_calibrate_synthetic_without_field_exits_4(capsys):
+    # with omega0z = 0 the zero-field grid point has no undressed precession to divide by
+    assert main(["calibrate", "--omega0z", "0", "--omega", "30", "--synthetic"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: DegenerateData: ")
+    assert "undressed frequency is 0" in err
+
+
 def test_calibrate_empty_csv_exits_2(tmp_path, capsys):
     data = tmp_path / "empty.csv"
     data.write_text("")

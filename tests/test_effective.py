@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from dressedspin.effective import (
     perturbative_eta,
     rectified_field,
 )
+from dressedspin import special
+from dressedspin.configfile import apply_overrides, load_config
 from dressedspin.special import bessel_j, f_aux
 
 from conftest import KHZ, make_config
@@ -223,6 +226,21 @@ def test_p1_norm_reported():
     cfg = make_config(10.0, xi=1.8, w0_khz=(0, 0, 0.5), tuning=(("y", 0.5, 1, math.pi / 2),))
     flo = floquet_first_order(cfg)
     assert 0.0 < flo.p1_norm_max < 1.0
+
+
+@pytest.mark.parametrize("spin", ["half", "one"])
+@pytest.mark.parametrize("name", ["anisotropy", "collapse", "even-harmonic", "odd-harmonic"])
+def test_p1_diagnostic_runs_few_bessel_recurrences(name, spin):
+    # With the memo caches cleared, one 129-point P1 diagnostic runs three
+    # recurrences at most: J_0 and the tuning harmonic's J_m for h, and one
+    # table shared by f1, f2 and g.  g's coefficients are built once per
+    # y or z tuning component.
+    cfg = apply_overrides(load_config(Path(__file__).parent.parent / "configs" / f"{name}.cfg"), [f"spin={spin}"])
+    special._bessel_table.cache_clear()
+    special._g_coefficients.cache_clear()
+    floquet_first_order(cfg)
+    assert special._bessel_table.cache_info().misses <= 3
+    assert special._g_coefficients.cache_info().misses == sum(t.axis != "x" for t in cfg.tuning)
 
 
 def _reference_p1_norm_max(config, taus):

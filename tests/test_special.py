@@ -366,7 +366,14 @@ def test_series_at_nan_xi_raise_series_not_converged():
             f_aux(i, 0.5, math.nan, 2, 0.3)
 
 
+def _clear_caches():
+    special._bessel_table.cache_clear()
+    special._g_coefficients.cache_clear()
+
+
 def test_one_bessel_call_per_series_evaluation(monkeypatch):
+    # with the memo caches cleared, each f/g evaluation reads one range table and
+    # runs at most one recurrence; g at a key it has seen reads none
     calls = []
 
     def counting(n, x):
@@ -374,6 +381,7 @@ def test_one_bessel_call_per_series_evaluation(monkeypatch):
         return bessel_j(n, x)
 
     monkeypatch.setattr(special, "bessel_j", counting)
+    _clear_caches()
     for evaluate in (
         lambda: f_aux(1, 0.7, 3.1),
         lambda: f_aux(2, 0.7, 3.1),
@@ -382,5 +390,106 @@ def test_one_bessel_call_per_series_evaluation(monkeypatch):
         lambda: g_func(0.7, 3.1, 3, 1.9),
     ):
         calls.clear()
+        misses = special._bessel_table.cache_info().misses
         evaluate()
         assert len(calls) == 1 and isinstance(calls[0], range)
+        assert special._bessel_table.cache_info().misses - misses <= 1
+    calls.clear()
+    misses = special._bessel_table.cache_info().misses
+    g_func(2.2, 3.1, 3, 1.9)
+    f_aux(3, 5.0, 3.1, 2, 0.4)
+    assert calls == []
+    assert special._bessel_table.cache_info().misses == misses
+    f_aux(1, 1.3, 3.1)  # f reads its table on every evaluation, from the cache
+    assert len(calls) == 1 and special._bessel_table.cache_info().misses == misses
+
+
+def _bits(value):
+    values = value if isinstance(value, list) else [value]
+    return [v.hex() if isinstance(v, float) else (v.real.hex(), v.imag.hex()) for v in values]
+
+
+_CACHE_X = st.one_of(
+    st.floats(-60.0, 60.0, allow_nan=False),
+    st.floats(-1e-7, 1e-7, allow_nan=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300, -9.99e-8]),
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(lo=st.integers(0, 40), width=st.integers(0, 90), x=_CACHE_X, other=_CACHE_X)
+def test_bessel_results_do_not_depend_on_cache_state(lo, width, x, other):
+    def evaluate():
+        return _bits(bessel_j(range(lo, lo + width), x)) + _bits(bessel_j(lo, x)) + _bits(bessel_j(range(lo + 1), x))
+
+    _clear_caches()
+    cold = evaluate()
+    warm = evaluate()
+    bessel_j(range(lo + width), other)  # evicts nothing at this bound, shares a key when |other| == |x|
+    after_other = evaluate()
+    _clear_caches()
+    assert cold == warm == after_other == evaluate()
+    assert _bits(bessel_j(lo, x)) == _bits(_per_order_bessel_j(lo, x))
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    tau=st.floats(0.0, 7.0),
+    xi=st.one_of(st.floats(-30.0, 30.0, allow_nan=False), st.sampled_from([0.0, -0.0, 1e-8])),
+    p=st.integers(1, 4),
+    Phi=st.floats(0.0, 6.3),
+)
+def test_series_results_do_not_depend_on_cache_state(tau, xi, p, Phi):
+    def evaluate():
+        return _bits(g_func(tau, xi, p, Phi)) + _bits(f_aux(1, tau, xi)) + _bits(f_aux(2, tau, xi))
+
+    _clear_caches()
+    cold = evaluate()
+    warm = evaluate()
+    g_func(tau + 1.0, xi, p, Phi)
+    _clear_caches()
+    assert cold == warm == evaluate()
+
+
+def test_bessel_table_is_a_fresh_list():
+    for x in (2.5, -2.5, 3e-8):
+        expected = bessel_j(range(6), x)
+        first = bessel_j(range(6), x)
+        first[1] = 99.0
+        first.append(1.0)
+        assert bessel_j(range(6), x) == expected
+        assert bessel_j(range(6), x) is not bessel_j(range(6), x)
+
+
+def test_series_not_converged_is_raised_on_every_call():
+    # an exception is never cached: each repeat recomputes and raises again
+    tight = SeriesControl(abs_tol=1e-12, max_terms=8)
+    _clear_caches()
+    for _ in range(3):
+        with pytest.raises(SeriesNotConverged):
+            g_func(1.0, 40.0, 2, 0.0, tight)
+        with pytest.raises(SeriesNotConverged):
+            g_func(1.0, math.nan, 2, 0.3)
+        with pytest.raises(SeriesNotConverged):
+            f_aux(4, 0.5, math.nan, 2, 0.3)
+        with pytest.raises(SeriesNotConverged):
+            f_aux(1, 1.0, 40.0, ctl=tight)
+    info = special._g_coefficients.cache_info()
+    assert info.currsize == 0 and info.misses == 9
+
+
+def test_g_coefficients_are_keyed_on_phase_and_series_control():
+    loose = SeriesControl(abs_tol=1e-6, max_terms=20)
+    cases = [(Phi, ctl) for Phi in (0.4, 1.3, 0.4 + 2 * math.pi) for ctl in (DEFAULT_SERIES, loose)]
+    cold = {}
+    for Phi, ctl in cases:
+        _clear_caches()
+        cold[Phi, ctl] = _bits(g_func(1.1, 2.3, 2, Phi, ctl))
+    _clear_caches()
+    for _ in range(2):
+        for Phi, ctl in cases:
+            assert _bits(g_func(1.1, 2.3, 2, Phi, ctl)) == cold[Phi, ctl]
+    assert special._g_coefficients.cache_info().currsize == len(cases)
+    assert cold[0.4, DEFAULT_SERIES] != cold[0.4, loose] and cold[0.4, DEFAULT_SERIES] != cold[1.3, DEFAULT_SERIES]
+    for Phi, ctl in cases:
+        assert abs(g_func(1.1, 2.3, 2, Phi, ctl) - _per_order_g(1.1, 2.3, 2, Phi, ctl)) <= 1e-14
