@@ -53,7 +53,6 @@ from .analysis import (
 )
 from .propagate import (
     CoherenceSeries,
-    IntegratorControl,
     QuasiEnergy,
     analytic_coherences,
     monodromy_quasienergy,

@@ -19,9 +19,7 @@ from .effective import bare_precession, floquet_first_order, rectified_field
 from .errors import DegenerateData, DressedSpinError, FitDiverged, NoOscillation
 from .fitting import Lcg64, bisect_root, least_squares
 from .propagate import (
-    DEFAULT_INTEGRATOR,
     CoherenceSeries,
-    IntegratorControl,
     monodromy_quasienergy,
     propagate_spin_half,
     quasienergy_candidates,
@@ -64,8 +62,10 @@ def extract_frequency(series: CoherenceSeries) -> FrequencyEstimate:
     The sx channel carries a single spectral line, so a three-parameter
     model applies: the discrete spectrum peak seeds a nonlinear refinement.
     The series must start at the zero-phase point t = 0 (all generators in
-    this package do), span at least 3 periods and resolve each period with
-    at least 16 samples.
+    this package do) and be uniformly sampled with at least 16 samples
+    (ValueError otherwise).  A series that spans fewer than 3 periods of its
+    line or resolves each period with fewer than 16 samples raises
+    NoOscillation.
     """
     t = np.asarray(series.times, dtype=float)
     y = np.asarray(series.sx, dtype=float)
@@ -99,9 +99,9 @@ def extract_frequency(series: CoherenceSeries) -> FrequencyEstimate:
 
     span = t[-1] - t[0]
     if span * omega0 < 3.0 * 2.0 * math.pi:
-        raise ValueError("series spans fewer than 3 oscillation periods")
+        raise NoOscillation("series spans fewer than 3 oscillation periods")
     if 2.0 * math.pi / omega0 < 16.0 * dt:
-        raise ValueError("fewer than 16 samples per oscillation period")
+        raise NoOscillation("fewer than 16 samples per oscillation period")
 
     def model_residuals(params):
         c, a, om = params
@@ -186,16 +186,16 @@ class ScanResult:
     rows: tuple
 
 
-def _timeseries_omega(config, omega_ref, ctl):
+def _timeseries_omega(config, omega_ref):
     """Propagate long enough to resolve omega_ref and fit the sx frequency."""
     omega_ref = max(abs(omega_ref), 1e-3 * config.dressing.omega)
     t_end = 8.0 * 2.0 * math.pi / omega_ref
     samples = 256
-    series = propagate_spin_half(config, t_end, samples, ctl=ctl)
+    series = propagate_spin_half(config, t_end, samples)
     return extract_frequency(series).omega_L
 
 
-def _scan_point(spec: ScanSpec, value: float, ctl: IntegratorControl):
+def _scan_point(spec: ScanSpec, value: float):
     errors = []
     row = {"value": value}
     try:
@@ -217,7 +217,7 @@ def _scan_point(spec: ScanSpec, value: float, ctl: IntegratorControl):
 
     if "monodromy" in spec.methods:
         try:
-            qe = monodromy_quasienergy(config, ctl)
+            qe = monodromy_quasienergy(config)
             row["monodromy"] = qe.omega_L_numeric
             row["alias_ambiguous"] = qe.alias_ambiguous
         except DressedSpinError as exc:
@@ -225,8 +225,8 @@ def _scan_point(spec: ScanSpec, value: float, ctl: IntegratorControl):
 
     if "timeseries" in spec.methods:
         try:
-            row["timeseries"] = _timeseries_omega(config, pert if pert else 0.0, ctl)
-        except (DressedSpinError, ValueError) as exc:
+            row["timeseries"] = _timeseries_omega(config, pert if pert else 0.0)
+        except DressedSpinError as exc:
             errors.append(f"timeseries:{type(exc).__name__}")
 
     return ScanRow(errors=tuple(errors), **row)
@@ -258,7 +258,7 @@ def _apply_branch_continuity(rows, omega, spin):
     return out
 
 
-def run_scan(spec: ScanSpec, ctl: IntegratorControl = DEFAULT_INTEGRATOR, jobs: int = 1) -> ScanResult:
+def run_scan(spec: ScanSpec, jobs: int = 1) -> ScanResult:
     """Evaluate every grid point by every requested method.
 
     Per-point failures are recorded as error tokens in the row and the scan
@@ -269,9 +269,9 @@ def run_scan(spec: ScanSpec, ctl: IntegratorControl = DEFAULT_INTEGRATOR, jobs: 
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_scan_point, [spec] * len(spec.grid), spec.grid, [ctl] * len(spec.grid)))
+            rows = list(pool.map(_scan_point, [spec] * len(spec.grid), spec.grid))
     else:
-        rows = [_scan_point(spec, v, ctl) for v in spec.grid]
+        rows = [_scan_point(spec, v) for v in spec.grid]
     if "monodromy" in spec.methods:
         rows = _apply_branch_continuity(rows, spec.base.dressing.omega, spec.base.spin)
     return ScanResult(spec=spec, rows=tuple(rows))
@@ -301,21 +301,19 @@ def _ratio_model(omega0x_nominal, omega0z, params):
     return num, den, wx, wz, j0
 
 
-def calibrate(ratio_data, omega0z: float, omega: float = None) -> CalibrationFit:
+def calibrate(ratio_data, omega0z: float) -> CalibrationFit:
     """Fit dressed/undressed frequency ratios vs the nominal transverse field.
 
     ratio_data: sequence of (omega0x_nominal [rad/s], ratio) pairs; the
     zero-field point pins xi through ratio = |J0(xi)|.  omega0z is held
-    fixed.  omega is accepted for interface completeness (the ratio model
-    is independent of the drive frequency once xi is a parameter).
+    fixed.  The ratio model does not depend on the drive frequency once xi
+    is a parameter.
 
     Model: ratio(w) = Omega0(w*scale, omega0z + tilt*w*scale; xi)
                     / Omega0(w*scale, omega0z + tilt*w*scale; 0)
     with Omega0 the tuning-off precession law.  Fits with |tilt| > 0.2 are
     rejected as unphysical.
     """
-    if omega is not None and not 0.0 < omega < math.inf:
-        raise ValueError("omega must be finite and > 0")
     data = [(float(w), float(r)) for w, r in ratio_data]
     if len(data) < 5:
         raise DegenerateData(f"need at least 5 data points, got {len(data)}")

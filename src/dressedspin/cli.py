@@ -234,7 +234,6 @@ def cmd_calibrate(args) -> int:
     if args.omega is not None and not 0.0 < args.omega < math.inf:
         raise ConfigFileError("--omega must be finite and > 0", source="<args>", key="omega")
     omega0z = args.omega0z * _KHZ
-    omega = args.omega * _KHZ if args.omega is not None else None
     if args.synthetic:
         grid_khz = [1.5 * i for i in range(11)]  # 0..15 kHz nominal transverse field
         data = synthetic_calibration_data(
@@ -252,7 +251,7 @@ def cmd_calibrate(args) -> int:
         data = _read_ratio_csv(args.data)
         if not data:
             raise ConfigFileError("data file has no rows", source=str(args.data))
-    fit = calibrate(data, omega0z=omega0z, omega=omega)
+    fit = calibrate(data, omega0z=omega0z)
     print(f"scale         : {_fmt(fit.scale)} +- {_fmt(fit.scale_err)}")
     print(f"tilt          : {_fmt(fit.tilt)} +- {_fmt(fit.tilt_err)}")
     print(f"xi            : {_fmt(fit.xi)} +- {_fmt(fit.xi_err)}")
@@ -301,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("calibrate", help="fit dressed/undressed ratio data for scale, tilt and xi")
     p.add_argument("data", nargs="?", default=None, help="CSV with columns omega0x_kHz, ratio")
     p.add_argument("--omega0z", type=float, required=True, help="fixed omega0z/2pi in kHz")
-    p.add_argument("--omega", type=float, default=None, help="drive frequency in kHz (reporting only)")
+    p.add_argument("--omega", type=float, default=None, help="drive frequency in kHz (checked, not used by the fit)")
     p.add_argument("--synthetic", action="store_true", help="generate seeded synthetic data instead")
     p.add_argument("--seed", type=int, default=0, help="seed for the synthetic noise generator")
     p.add_argument("--noise", type=float, default=0.002, help="multiplicative noise level (synthetic)")

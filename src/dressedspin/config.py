@@ -92,13 +92,6 @@ class DriveConfiguration:
         """Dressing parameter omega_d / omega."""
         return self.dressing.omega_d / self.dressing.omega
 
-    def tuning_on(self, axis: str):
-        """The tuning component on the given axis, or None."""
-        for comp in self.tuning:
-            if comp.axis == axis:
-                return comp
-        return None
-
     def replace(self, **kwargs) -> "DriveConfiguration":
         return replace(self, **kwargs)
 

@@ -27,31 +27,19 @@ class FitResult:
     converged: bool
 
 
-def _finite_difference_jacobian(residuals, x, r0):
-    m, n = r0.size, x.size
-    jac = np.empty((m, n))
-    for i in range(n):
-        h = math.sqrt(np.finfo(float).eps) * max(1.0, abs(x[i]))
-        xp = x.copy()
-        xp[i] += h
-        jac[:, i] = (residuals(xp) - r0) / h
-    return jac
-
-
 def least_squares(
     residuals,
     x0,
-    jacobian=None,
+    jacobian,
     *,
     max_iter: int = 200,
     step_tol: float = 1e-10,
 ) -> FitResult:
     """Minimise 0.5*||residuals(x)||^2 by damped Gauss-Newton.
 
-    jacobian(x) returns the m-by-n residual Jacobian; omit it to use forward
-    finite differences.  Convergence: relative step below step_tol (or the
-    cost already exactly zero); running out of iterations or failing to find
-    a descent step returns converged=False.
+    jacobian(x) returns the m-by-n residual Jacobian.  Convergence: relative
+    step below step_tol (or the cost already exactly zero); running out of
+    iterations or failing to find a descent step returns converged=False.
     """
     x = np.asarray(x0, dtype=float).copy()
     r = np.asarray(residuals(x), dtype=float)
@@ -62,7 +50,7 @@ def least_squares(
     converged = False
     it = 0
     for it in range(1, max_iter + 1):
-        jac = np.asarray(jacobian(x) if jacobian is not None else _finite_difference_jacobian(residuals, x, r))
+        jac = np.asarray(jacobian(x))
         grad = jac.T @ r
         jtj = jac.T @ jac
         diag = np.diag(jtj).copy()
@@ -91,7 +79,7 @@ def least_squares(
             converged = True
             break
 
-    jac = np.asarray(jacobian(x) if jacobian is not None else _finite_difference_jacobian(residuals, x, r))
+    jac = np.asarray(jacobian(x))
     jtj = jac.T @ jac
     dof = max(r.size - x.size, 1)
     sigma2 = 2.0 * cost / dof

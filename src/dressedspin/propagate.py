@@ -1,8 +1,10 @@
 """Exact time-dependent propagation, quasienergies, and analytic coherences.
 
 The full bichromatic drive is integrated with a classical fixed-step RK4
-scheme under global step-halving control: the whole calculation is repeated
-with doubled step count until the result moves by less than ``rel_tol``.
+scheme under global step-halving control: starting from ``_STEPS_PER_PERIOD``
+steps per drive period, the whole calculation is repeated with doubled step
+count, at most ``_MAX_REFINEMENTS`` times, until the result moves by less
+than ``_REL_TOL``.
 No renormalisation is applied during integration -- norm drift is the error
 diagnostic, not something to hide.  Step sizes and node times of a whole
 integration are laid out up front.  The ODE is linear, so one RK4 step is
@@ -32,8 +34,6 @@ from .effective import PAULI_X, PAULI_Y, PAULI_Z, rectified_field
 from .errors import NoConvergence, UnitarityLost
 
 __all__ = [
-    "IntegratorControl",
-    "DEFAULT_INTEGRATOR",
     "CoherenceSeries",
     "QuasiEnergy",
     "propagate_spin_half",
@@ -49,6 +49,15 @@ TWO_PI = 2.0 * math.pi
 # apart from its alias.
 _ALIAS_TOL = 1e-3
 
+# Step-halving: starting steps per drive period, relative tolerance between
+# successive refinements, and the most step doublings tried.
+_STEPS_PER_PERIOD = 512
+_REL_TOL = 1e-10
+_MAX_REFINEMENTS = 6
+
+# Largest spin-half norm drift and monodromy unitarity error accepted.
+_UNITARITY_DRIFT_LIMIT = 1e-6
+
 # Spin-1 propagation is norm-conserving physics; drift beyond this is a bug.
 _BLOCH_NORM_TOL = 1e-9
 
@@ -56,29 +65,6 @@ _BLOCH_NORM_TOL = 1e-9
 _BLOCK_STEPS = 2048
 
 _PAULI = np.stack((PAULI_X, PAULI_Y, PAULI_Z))
-
-
-@dataclass(frozen=True)
-class IntegratorControl:
-    """Fixed-step RK4 settings and step-halving convergence policy."""
-
-    steps_per_period: int = 512
-    rel_tol: float = 1e-10
-    max_refinements: int = 6
-    unitarity_drift_limit: float = 1e-6
-
-    def __post_init__(self):
-        if self.steps_per_period < 64:
-            raise ValueError("steps_per_period must be >= 64")
-        if not self.rel_tol > 0.0:
-            raise ValueError("rel_tol must be > 0")
-        if self.max_refinements < 1:
-            raise ValueError("max_refinements must be >= 1")
-        if not self.unitarity_drift_limit > 0.0:
-            raise ValueError("unitarity_drift_limit must be > 0")
-
-
-DEFAULT_INTEGRATOR = IntegratorControl()
 
 
 @dataclass(frozen=True)
@@ -172,7 +158,7 @@ def _integrate_targets(bundle, targets, base_step):
     return np.moveaxis(out, -1, 0)
 
 
-def propagator_at(config: DriveConfiguration, tau_points, steps_per_period: int = 512):
+def propagator_at(config: DriveConfiguration, tau_points, steps_per_period: int = _STEPS_PER_PERIOD):
     """Propagator of the full drive at the given ascending tau points.
 
     Spin model chosen by config.spin: the 2x2 U for spin half, its 3x3
@@ -226,13 +212,13 @@ def _coherences_from_states(states):
     return sx, sy, sz, norms
 
 
-def _propagate(config, t_end, samples, psi0, ctl, norm_tol, m_norm=None):
+def _propagate(config, t_end, samples, psi0, m_norm=None):
     """Step-halve until the sampled series settles AND the norm drift is
-    within norm_tol (relative to the initial norm); long runs accumulate
-    drift through the monodromy powers, so conservation is part of the
-    convergence criterion rather than an afterthought.  Given m_norm, the
-    series is a spin-one M = <sigma> with |M(0)| = m_norm, and the drift is
-    measured on |M| rather than on |psi|."""
+    within _UNITARITY_DRIFT_LIMIT (relative to the initial norm); long runs
+    accumulate drift through the monodromy powers, so conservation is part
+    of the convergence criterion rather than an afterthought.  Given m_norm,
+    the series is a spin-one M = <sigma> with |M(0)| = m_norm, and the drift
+    is measured on |M| rather than on |psi|, against _BLOCH_NORM_TOL."""
     if not t_end > 0.0:
         raise ValueError("t_end must be > 0")
     if samples < 2:
@@ -242,13 +228,14 @@ def _propagate(config, t_end, samples, psi0, ctl, norm_tol, m_norm=None):
     times = np.linspace(0.0, t_end, samples)
     taus = times * omega
     norm0 = float(np.linalg.norm(psi0)) if m_norm is None else m_norm
+    norm_tol = _UNITARITY_DRIFT_LIMIT if m_norm is None else _BLOCH_NORM_TOL
 
-    steps = ctl.steps_per_period
+    steps = _STEPS_PER_PERIOD
     states = _sampled_series(bundle, taus, psi0, steps)
     prev = np.column_stack(_coherences_from_states(states)[:3])
     err = math.inf
     drift = math.inf
-    for _ in range(ctl.max_refinements):
+    for _ in range(_MAX_REFINEMENTS):
         steps *= 2
         states = _sampled_series(bundle, taus, psi0, steps)
         sx, sy, sz, norms = _coherences_from_states(states)
@@ -258,16 +245,16 @@ def _propagate(config, t_end, samples, psi0, ctl, norm_tol, m_norm=None):
         err = float(np.max(np.abs(cur - prev)))
         scale = max(1.0, float(np.max(np.abs(cur))))
         drift = float(np.max(np.abs(norms / norm0 - 1.0)))
-        if err <= ctl.rel_tol * scale and drift <= norm_tol:
+        if err <= _REL_TOL * scale and drift <= norm_tol:
             return times, sx, sy, sz
         prev = cur
     if drift > norm_tol:
         raise UnitarityLost(
             f"norm drift {drift:.3e} exceeds {norm_tol:g} after "
-            f"{ctl.max_refinements} refinements ({steps} steps/period)"
+            f"{_MAX_REFINEMENTS} refinements ({steps} steps/period)"
         )
     raise NoConvergence(
-        f"series not converged after {ctl.max_refinements} refinements "
+        f"series not converged after {_MAX_REFINEMENTS} refinements "
         f"({steps} steps/period, last change {err:.3e})"
     )
 
@@ -277,13 +264,12 @@ def propagate_spin_half(
     t_end: float,
     samples: int,
     initial=None,
-    ctl: IntegratorControl = DEFAULT_INTEGRATOR,
 ) -> CoherenceSeries:
     """Integrate the two-level dynamics of the full drive and sample <sigma_j>(t).
 
     initial defaults to the +1 sigma_x eigenstate; any unit 2-spinor is
     accepted.  The state norm is monitored over the whole run and drift past
-    ctl.unitarity_drift_limit raises UnitarityLost.
+    _UNITARITY_DRIFT_LIMIT raises UnitarityLost.
     """
     if initial is None:
         psi0 = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
@@ -291,7 +277,7 @@ def propagate_spin_half(
         psi0 = np.asarray(initial, dtype=complex).reshape(2)
         if abs(np.linalg.norm(psi0) - 1.0) > 1e-9:
             raise ValueError("initial state must be a unit vector")
-    times, sx, sy, sz = _propagate(config, t_end, samples, psi0, ctl, ctl.unitarity_drift_limit)
+    times, sx, sy, sz = _propagate(config, t_end, samples, psi0)
     return CoherenceSeries(times=times, sx=sx, sy=sy, sz=sz, source="numeric")
 
 
@@ -300,14 +286,14 @@ def propagate_bloch_spin1(
     t_end: float,
     samples: int,
     initial=None,
-    ctl: IntegratorControl = DEFAULT_INTEGRATOR,
 ) -> CoherenceSeries:
     """Sample the spin-one magnetisation M(t) of dM/dt = (drive field) x M.
 
     Requires config.spin == "one".  M(t) = R(t) M(0), R the rotation image of
     the spin-half propagator, is <sigma> of the spinor that starts as
     sqrt(|M(0)|) times the +1 eigenstate of M(0).sigma.  |M(t)| must stay
-    within 1e-9 relative of |M(0)|; larger drift raises UnitarityLost.
+    within _BLOCH_NORM_TOL (1e-9) relative of |M(0)|; larger drift raises
+    UnitarityLost.
     """
     if config.spin != "one":
         raise ValueError("propagate_bloch_spin1 requires a spin='one' configuration")
@@ -319,8 +305,7 @@ def propagate_bloch_spin1(
     if not m_norm > 0.0:
         raise ValueError("initial magnetisation must be nonzero")
     psi0 = math.sqrt(m_norm) * np.linalg.eigh(np.tensordot(m0, _PAULI, 1))[1][:, 1]
-    norm_tol = min(_BLOCH_NORM_TOL, ctl.unitarity_drift_limit)
-    times, mx, my, mz = _propagate(config, t_end, samples, psi0, ctl, norm_tol, m_norm)
+    times, mx, my, mz = _propagate(config, t_end, samples, psi0, m_norm)
     return CoherenceSeries(times=times, sx=mx, sy=my, sz=mz, source="numeric")
 
 
@@ -337,26 +322,24 @@ def _quasienergy_once(bundle, omega, steps):
     return theta, theta * omega / TWO_PI, unit_err
 
 
-def monodromy_quasienergy(
-    config: DriveConfiguration,
-    ctl: IntegratorControl = DEFAULT_INTEGRATOR,
-) -> QuasiEnergy:
+def monodromy_quasienergy(config: DriveConfiguration) -> QuasiEnergy:
     """Larmor frequency from the propagator over exactly one drive period.
 
     The dressing phase closes after one period, so the monodromy eigenphases
     +-theta give Omega_L = theta*omega/pi for spin half (half-angle rotation)
     and theta*omega/(2 pi) for spin one.  Step-halving refines until the
-    extracted frequency moves by less than rel_tol * omega.
+    extracted frequency moves by less than _REL_TOL * omega; a monodromy
+    unitarity error past _UNITARITY_DRIFT_LIMIT then raises UnitarityLost.
     """
     bundle = dimensionless(config)
     omega = config.dressing.omega
-    steps = ctl.steps_per_period
+    steps = _STEPS_PER_PERIOD
     theta, om_prev, unit_err = _quasienergy_once(bundle, omega, steps)
-    for _ in range(ctl.max_refinements):
+    for _ in range(_MAX_REFINEMENTS):
         steps *= 2
         theta, om_cur, unit_err = _quasienergy_once(bundle, omega, steps)
-        if abs(om_cur - om_prev) <= ctl.rel_tol * omega:
-            if unit_err > ctl.unitarity_drift_limit:
+        if abs(om_cur - om_prev) <= _REL_TOL * omega:
+            if unit_err > _UNITARITY_DRIFT_LIMIT:
                 raise UnitarityLost(f"monodromy unitarity error {unit_err:.3e}")
             return QuasiEnergy(
                 omega_L_numeric=om_cur,
@@ -365,20 +348,21 @@ def monodromy_quasienergy(
             )
         om_prev = om_cur
     raise NoConvergence(
-        f"quasienergy not converged after {ctl.max_refinements} refinements "
+        f"quasienergy not converged after {_MAX_REFINEMENTS} refinements "
         f"({steps} steps/period)"
     )
 
 
-def quasienergy_candidates(x: float, omega: float, spin: str = "half", k_max: int = 3):
+def quasienergy_candidates(x: float, omega: float, spin: str = "half"):
     """All frequencies consistent with the measured eigenphase (aliasing).
 
     For spin half the pair {+-theta} fixes the monodromy value x only up
-    to {x, 2*omega*k +- x}; for spin one up to {x, omega*k +- x}.
+    to {x, 2*omega*k +- x}; for spin one up to {x, omega*k +- x}; k runs
+    over 0..3.
     """
     step = 2.0 * omega if spin == "half" else omega
     cands = []
-    for k in range(0, k_max + 1):
+    for k in range(4):
         for cand in (k * step + x, (k + 1) * step - x):
             if cand >= 0.0:
                 cands.append(cand)

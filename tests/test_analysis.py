@@ -49,12 +49,15 @@ def test_extract_constant_raises():
 
 def test_extract_precondition_errors():
     omega = 2 * math.pi * 2000.0
-    # fewer than 3 periods
-    with pytest.raises(ValueError):
+    # fewer than 3 periods: a property of the data, not a bad argument
+    with pytest.raises(NoOscillation, match="fewer than 3 oscillation periods"):
         extract_frequency(_series(1.0 / 2000.0, 1024, lambda t: np.cos(omega * t)))
     # fewer than 16 samples per period
-    with pytest.raises(ValueError):
+    with pytest.raises(NoOscillation, match="fewer than 16 samples per oscillation period"):
         extract_frequency(_series(0.05, 256, lambda t: np.cos(omega * t)))
+    # fewer than 16 samples in all
+    with pytest.raises(ValueError, match="at least 16 samples"):
+        extract_frequency(_series(0.05, 15, lambda t: np.cos(omega * t)))
     # non-uniform sampling
     t = np.concatenate([np.linspace(0, 0.02, 512), np.linspace(0.021, 0.05, 512)])
     bad = CoherenceSeries(times=t, sx=np.cos(omega * t), sy=0 * t, sz=0 * t, source="analytic")
@@ -202,10 +205,15 @@ def test_branch_continuity_unfolds_reflection_edges(spin):
 
 def test_scan_jobs_parallel_matches_serial():
     base = make_config(9.0, xi=1.0, w0_khz=(0, 0, 2.040), tuning=(("y", 4.97, 1, math.pi / 2),))
-    spec = ScanSpec(swept="xi", grid=tuple(np.linspace(0.6, 5.0, 9)), base=base)
+    spec = ScanSpec(
+        swept="xi", grid=tuple(np.linspace(0.6, 5.0, 9)), base=base, methods=("perturbative", "monodromy")
+    )
     serial = run_scan(spec, jobs=1)
     parallel = run_scan(spec, jobs=2)
     assert [r.perturbative for r in serial.rows] == [r.perturbative for r in parallel.rows]
+    assert [r.monodromy for r in serial.rows] == [r.monodromy for r in parallel.rows]
+    assert [r.alias_ambiguous for r in serial.rows] == [r.alias_ambiguous for r in parallel.rows]
+    assert all(r.monodromy is not None for r in serial.rows)
 
 
 CAL_GRID = tuple(w * KHZ for w in (0.0, 1.5, 3.0, 4.5, 6.0, 7.5, 9.0, 10.5, 12.0, 13.5, 15.0))
@@ -214,7 +222,7 @@ W0Z = 5.979 * KHZ
 
 def test_calibrate_noiseless_roundtrip():
     data = synthetic_calibration_data(CAL_GRID, omega0z=W0Z, xi=1.833, scale=1.0, tilt=0.03)
-    fit = calibrate(data, omega0z=W0Z, omega=30.0 * KHZ)
+    fit = calibrate(data, omega0z=W0Z)
     assert fit.scale == pytest.approx(1.0, abs=1e-6)
     assert fit.tilt == pytest.approx(0.03, abs=1e-6)
     assert fit.xi == pytest.approx(1.833, abs=1e-6)

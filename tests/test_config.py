@@ -13,7 +13,7 @@ from dressedspin.config import (
 )
 from dressedspin.errors import ConfigurationError
 
-from conftest import KHZ, make_config
+from conftest import make_config
 
 
 def test_validate_accepts_dressed_calibration_setup():
@@ -167,9 +167,3 @@ def test_phase_normalisation():
     d = TuningComponent(axis="y", amplitude=1.0, harmonic=1, phase=-1e-300)
     assert d.phase == 0.0
     assert TuningComponent(axis="y", amplitude=1.0, harmonic=1, phase=c.phase).phase == c.phase
-
-
-def test_tuning_on():
-    cfg = make_config(10.0, tuning=(("y", 1.0, 1, 0.0), ("z", 2.0, 2, 0.1)))
-    assert cfg.tuning_on("z").amplitude == pytest.approx(2.0 * KHZ)
-    assert cfg.tuning_on("x") is None

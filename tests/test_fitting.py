@@ -14,7 +14,10 @@ def test_least_squares_linear_exact():
     def res(p):
         return p[0] + p[1] * t - y
 
-    fit = least_squares(res, [0.0, 0.0])
+    def jac(p):
+        return np.column_stack([np.ones_like(t), t])
+
+    fit = least_squares(res, [0.0, 0.0], jac)
     assert fit.converged
     assert fit.params == pytest.approx([2.0, 3.0], abs=1e-9)
     assert fit.residual_norm < 1e-9
@@ -41,7 +44,7 @@ def test_least_squares_cosine_with_jacobian():
 
 def test_least_squares_rejects_nan_start():
     with pytest.raises(FitDiverged):
-        least_squares(lambda p: np.array([float("nan")]), [1.0])
+        least_squares(lambda p: np.array([float("nan")]), [1.0], lambda p: np.zeros((1, 1)))
 
 
 def test_least_squares_reports_nonconvergence():
@@ -49,7 +52,10 @@ def test_least_squares_reports_nonconvergence():
     def res(p):
         return np.array([1.0, 1.0])  # constant, gradient zero
 
-    fit = least_squares(res, [1.0], max_iter=5)
+    def jac(p):
+        return np.zeros((2, 1))
+
+    fit = least_squares(res, [1.0], jac, max_iter=5)
     # constant residuals: zero step accepted immediately, converged via step_tol
     assert fit.iterations <= 5
 

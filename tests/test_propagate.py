@@ -12,8 +12,6 @@ from dressedspin.effective import L_X, L_Y, L_Z, larmor_frequency, rectified_fie
 from dressedspin.special import bessel_j
 from dressedspin.errors import NoConvergence, UnitarityLost
 from dressedspin.propagate import (
-    DEFAULT_INTEGRATOR,
-    IntegratorControl,
     QuasiEnergy,
     analytic_coherences,
     monodromy_quasienergy,
@@ -29,17 +27,6 @@ J0_ROOT = 2.404825557695773
 TWO_PI = 2 * math.pi
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 SHIPPED = ("anisotropy", "collapse", "even-harmonic", "odd-harmonic")
-
-
-def test_integrator_control_validation():
-    with pytest.raises(ValueError):
-        IntegratorControl(steps_per_period=32)
-    with pytest.raises(ValueError):
-        IntegratorControl(rel_tol=0.0)
-    with pytest.raises(ValueError):
-        IntegratorControl(max_refinements=0)
-    with pytest.raises(ValueError):
-        IntegratorControl(unitarity_drift_limit=0.0)
 
 
 def test_zero_drive_freezes_state():
@@ -62,7 +49,7 @@ def test_pure_state_norm_invariant():
     cfg = make_config(9.0, xi=2.0, w0_khz=(0.3, 0, 2.040), tuning=(("y", 1.0, 1, 0.4),))
     series = propagate_spin_half(cfg, 2e-3, 200)
     r2 = series.sx**2 + series.sy**2 + series.sz**2
-    assert np.max(np.abs(r2 - 1.0)) < DEFAULT_INTEGRATOR.unitarity_drift_limit
+    assert np.max(np.abs(r2 - 1.0)) < propagate._UNITARITY_DRIFT_LIMIT
 
 
 def test_monodromy_zero_drive():
@@ -120,43 +107,58 @@ def test_collapse_quasienergy_tiny():
 
 def test_quasienergy_candidates():
     qe = monodromy_quasienergy(make_config(10.0, w0_khz=(0, 0, 0.2)))
-    cands = quasienergy_candidates(qe.omega_L_numeric, 10.0 * KHZ, "half", k_max=1)
+    cands = quasienergy_candidates(qe.omega_L_numeric, 10.0 * KHZ, "half")
     assert any(abs(c - 0.2 * KHZ) < 1.0 for c in cands)
     assert any(abs(c - (20.0 - 0.2) * KHZ) < 1.0 for c in cands)
 
 
-def test_unitarity_lost_raised():
+def test_unitarity_lost_raised(monkeypatch):
     cfg = make_config(9.0, xi=2.0, w0_khz=(0, 0, 2.040))
-    ctl = IntegratorControl(unitarity_drift_limit=1e-16)
+    monkeypatch.setattr(propagate, "_UNITARITY_DRIFT_LIMIT", 1e-16)
     with pytest.raises(UnitarityLost):
-        propagate_spin_half(cfg, 2e-3, 100, ctl=ctl)
+        propagate_spin_half(cfg, 2e-3, 100)
 
 
-def test_bloch_unitarity_lost_raised():
+def test_bloch_unitarity_lost_raised(monkeypatch):
     cfg = make_config(9.0, xi=2.0, w0_khz=(0, 0, 2.040), spin="one")
-    ctl = IntegratorControl(unitarity_drift_limit=1e-16)
+    monkeypatch.setattr(propagate, "_BLOCH_NORM_TOL", 1e-16)
     with pytest.raises(UnitarityLost):
-        propagate_bloch_spin1(cfg, 2e-3, 100, ctl=ctl)
+        propagate_bloch_spin1(cfg, 2e-3, 100)
 
 
 def test_bloch_drift_is_measured_on_magnetisation(monkeypatch):
     # |psi| = 1 + 6e-10 passes a 1e-9 bound, but |M|/|M(0)| = |psi|^2 does not
     sampled = propagate._sampled_series
     monkeypatch.setattr(propagate, "_sampled_series", lambda *args: sampled(*args) * (1.0 + 6e-10))
-    ctl = IntegratorControl(unitarity_drift_limit=1e-9)
-    propagate_spin_half(make_config(10.0, w0_khz=(0, 0, 2.0)), 1e-3, 50, ctl=ctl)
+    monkeypatch.setattr(propagate, "_UNITARITY_DRIFT_LIMIT", 1e-9)
+    assert propagate._BLOCH_NORM_TOL == 1e-9
+    propagate_spin_half(make_config(10.0, w0_khz=(0, 0, 2.0)), 1e-3, 50)
     with pytest.raises(UnitarityLost):
-        propagate_bloch_spin1(make_config(10.0, w0_khz=(0, 0, 2.0), spin="one"), 1e-3, 50, ctl=ctl)
+        propagate_bloch_spin1(make_config(10.0, w0_khz=(0, 0, 2.0), spin="one"), 1e-3, 50)
 
 
-def test_no_convergence_raised():
+def test_no_convergence_raised(monkeypatch):
     cfg = make_config(9.0, xi=3.0, w0_khz=(0, 0, 2.040))
     # generous drift allowance so only the (unreachable) series tolerance fails
-    ctl = IntegratorControl(
-        steps_per_period=64, rel_tol=1e-15, max_refinements=1, unitarity_drift_limit=1e-2
-    )
+    monkeypatch.setattr(propagate, "_STEPS_PER_PERIOD", 64)
+    monkeypatch.setattr(propagate, "_REL_TOL", 1e-15)
+    monkeypatch.setattr(propagate, "_MAX_REFINEMENTS", 1)
+    monkeypatch.setattr(propagate, "_UNITARITY_DRIFT_LIMIT", 1e-2)
     with pytest.raises(NoConvergence):
-        propagate_spin_half(cfg, 2e-3, 100, ctl=ctl)
+        propagate_spin_half(cfg, 2e-3, 100)
+
+
+def test_monodromy_no_convergence_raised(monkeypatch):
+    monkeypatch.setattr(propagate, "_REL_TOL", 1e-15)
+    monkeypatch.setattr(propagate, "_MAX_REFINEMENTS", 1)
+    with pytest.raises(NoConvergence, match="after 1 refinements"):
+        monodromy_quasienergy(make_config(9.0, xi=2.0, w0_khz=(0, 0, 2.040)))
+
+
+def test_monodromy_unitarity_lost_raised(monkeypatch):
+    monkeypatch.setattr(propagate, "_UNITARITY_DRIFT_LIMIT", 1e-18)
+    with pytest.raises(UnitarityLost, match="monodromy unitarity error"):
+        monodromy_quasienergy(make_config(9.0, xi=2.0, w0_khz=(0, 0, 2.040)))
 
 
 def test_propagate_argument_validation():
@@ -354,17 +356,16 @@ def _reference_sampled_series(generator, taus, psi0, steps_per_period):
 def _reference_bloch_series(cfg, t_end, samples, m0):
     """propagate_bloch_spin1 along the real 3x3 route: same sampling,
     step-halving and |M| drift criterion, returns M as (samples, 3)."""
-    ctl = DEFAULT_INTEGRATOR
     generator = partial(_bloch_generator_stack, dimensionless(cfg))
     taus = np.linspace(0.0, t_end, samples) * cfg.dressing.omega
-    steps = ctl.steps_per_period
+    steps = propagate._STEPS_PER_PERIOD
     prev = _reference_sampled_series(generator, taus, m0, steps)
-    for _ in range(ctl.max_refinements):
+    for _ in range(propagate._MAX_REFINEMENTS):
         steps *= 2
         cur = _reference_sampled_series(generator, taus, m0, steps)
         err = float(np.max(np.abs(cur - prev)))
         drift = float(np.max(np.abs(np.linalg.norm(cur, axis=1) / np.linalg.norm(m0) - 1.0)))
-        if err <= ctl.rel_tol * max(1.0, float(np.max(np.abs(cur)))) and drift <= 1e-9:
+        if err <= propagate._REL_TOL * max(1.0, float(np.max(np.abs(cur)))) and drift <= propagate._BLOCH_NORM_TOL:
             return cur
         prev = cur
     raise NoConvergence("reference series not converged")
@@ -372,7 +373,6 @@ def _reference_bloch_series(cfg, t_end, samples, m0):
 
 def _reference_quasienergy_one(cfg):
     """monodromy_quasienergy for spin one along the real 3x3 route."""
-    ctl = DEFAULT_INTEGRATOR
     generator = partial(_bloch_generator_stack, dimensionless(cfg))
     omega = cfg.dressing.omega
 
@@ -382,12 +382,12 @@ def _reference_quasienergy_one(cfg):
         theta = float(np.max(np.abs(np.angle(np.linalg.eigvals(mono)))))
         return theta, theta * omega / TWO_PI, unit_err
 
-    steps = ctl.steps_per_period
+    steps = propagate._STEPS_PER_PERIOD
     _, om_prev, _ = once(steps)
-    for _ in range(ctl.max_refinements):
+    for _ in range(propagate._MAX_REFINEMENTS):
         steps *= 2
         theta, om_cur, unit_err = once(steps)
-        if abs(om_cur - om_prev) <= ctl.rel_tol * omega:
+        if abs(om_cur - om_prev) <= propagate._REL_TOL * omega:
             return QuasiEnergy(om_cur, theta < 1e-3 or math.pi - theta < 1e-3, unit_err)
         om_prev = om_cur
     raise NoConvergence("reference quasienergy not converged")
