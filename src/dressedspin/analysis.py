@@ -215,17 +215,22 @@ def _scan_point(spec: ScanSpec, value: float):
     if "perturbative" in spec.methods:
         row["perturbative"] = pert
 
+    # the time-series window is sized from the monodromy value where there is
+    # one: its alias candidate nearest the first-order value, else first order
+    window_ref = pert if pert else 0.0
     if "monodromy" in spec.methods:
         try:
             qe = monodromy_quasienergy(config)
             row["monodromy"] = qe.omega_L_numeric
             row["alias_ambiguous"] = qe.alias_ambiguous
+            cands = quasienergy_candidates(qe.omega_L_numeric, config.dressing.omega, config.spin)
+            window_ref = min(cands, key=lambda c: abs(c - window_ref))
         except DressedSpinError as exc:
             errors.append(f"monodromy:{type(exc).__name__}")
 
     if "timeseries" in spec.methods:
         try:
-            row["timeseries"] = _timeseries_omega(config, pert if pert else 0.0)
+            row["timeseries"] = _timeseries_omega(config, window_ref)
         except DressedSpinError as exc:
             errors.append(f"timeseries:{type(exc).__name__}")
 

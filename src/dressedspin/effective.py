@@ -149,6 +149,24 @@ def bare_precession(omega0x: float, omega0z: float, xi: float) -> float:
     return math.hypot(omega0x, omega0z * bessel_j(0, xi))
 
 
+def _dressing_frame_field(bundle, taus):
+    """Field in the frame that follows the dressing rotation, as a (3, len(taus)) array.
+
+    With phi(tau) = xi sin(tau) and b(tau) the lab field without the dressing
+    term, the rotation exp(+i phi sigma_x/2) turns b(tau) + xi cos(tau) x into
+    (b_x, b_y cos phi + b_z sin phi, -b_y sin phi + b_z cos phi): the dressing
+    term drops out exactly.  Units of omega.
+    """
+    taus = np.asarray(taus, dtype=float)
+    b = np.empty((3, taus.size))
+    b[:] = np.asarray(bundle.w0, dtype=float)[:, None]
+    for t in bundle.tuning:
+        b["xyz".index(t.axis)] += t.strength * np.cos(t.harmonic * taus + t.phase)
+    phi = bundle.xi * np.sin(taus)
+    c, s = np.cos(phi), np.sin(phi)
+    return np.stack((b[0], b[1] * c + b[2] * s, b[2] * c - b[1] * s))
+
+
 def _p1_vector(bundle, tau):
     """Cartesian components of the periodic part P1 at tau, in units of omega."""
     w0x, w0y, w0z = bundle.w0

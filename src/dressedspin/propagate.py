@@ -1,6 +1,15 @@
 """Exact time-dependent propagation, quasienergies, and analytic coherences.
 
-The full bichromatic drive is integrated with a classical fixed-step RK4
+The full bichromatic drive is integrated in the frame that follows the
+dressing rotation phi(tau) = xi sin(tau): with U(tau) the lab propagator,
+U~(tau) = exp(+i phi sigma_x/2) U(tau) obeys dU~/dtau = -i b~(tau).sigma/2,
+where b~ is the lab field without the strong xi cos(tau) term, rotated about
+x by phi (effective._dressing_frame_field).  The frame change is exact, and
+RK4 no longer has to resolve the dressing term.  Each result is rotated back
+to the lab frame in closed form, U = (cos(phi/2) - i sin(phi/2) sigma_x) U~;
+at whole periods the rotation is the identity, so the monodromy is U~(2 pi).
+
+The transformed dynamics are integrated with a classical fixed-step RK4
 scheme under global step-halving control: starting from ``_STEPS_PER_PERIOD``
 steps per drive period, the whole calculation is repeated with doubled step
 count, at most ``_MAX_REFINEMENTS`` times, until the result moves by less
@@ -30,7 +39,7 @@ import math
 import numpy as np
 
 from .config import DriveConfiguration, dimensionless
-from .effective import PAULI_X, PAULI_Y, PAULI_Z, rectified_field
+from .effective import PAULI_X, PAULI_Y, PAULI_Z, _dressing_frame_field, rectified_field
 from .errors import NoConvergence, UnitarityLost
 
 __all__ = [
@@ -94,14 +103,8 @@ class QuasiEnergy:
 
 
 def _generator_stack(bundle, taus):
-    """dU/dtau generator A(tau) = -i b(tau).sigma/2 as a (2, 2, len(taus)) stack."""
-    taus = np.asarray(taus, dtype=float)
-    b = np.empty((3, taus.size))
-    b[:] = np.asarray(bundle.w0, dtype=float)[:, None]
-    b[0] += bundle.xi * np.cos(taus)
-    for t in bundle.tuning:
-        b["xyz".index(t.axis)] += t.strength * np.cos(t.harmonic * taus + t.phase)
-    return np.tensordot(-0.5j * _PAULI, b, axes=(0, 0))
+    """Dressing-frame generator -i b~(tau).sigma/2 as a (2, 2, len(taus)) stack."""
+    return np.tensordot(-0.5j * _PAULI, _dressing_frame_field(bundle, taus), axes=(0, 0))
 
 
 def _mul(a, b):
@@ -115,11 +118,11 @@ def _rotation(u):
 
 
 def _integrate_targets(bundle, targets, base_step):
-    """RK4-propagate dU/dtau = A(tau) U from tau = 0 through ascending targets.
+    """RK4-propagate dU~/dtau = A(tau) U~ from tau = 0 through ascending targets.
 
     Within each gap the step divides the gap evenly and never exceeds
-    base_step, so every target is hit exactly.  Returns the propagators at
-    the targets as a (len(targets), 2, 2) array.
+    base_step, so every target is hit exactly.  Returns the lab-frame
+    propagators U at the targets as a (len(targets), 2, 2) array.
     """
     targets = np.asarray(targets, dtype=float)
     prevs = np.concatenate(([0.0], targets))[:-1]
@@ -155,7 +158,11 @@ def _integrate_targets(bundle, targets, base_step):
         hit = (last >= g) & (last < g + h.size)
         out[:, :, hit] = s[:, :, last[hit] - g]
         U = s[:, :, -1:]
-    return np.moveaxis(out, -1, 0)
+    # back to the lab frame; tau mod 2 pi makes the rotation exactly the
+    # identity at whole periods instead of carrying the rounding of sin(2 pi)
+    half = 0.5 * bundle.xi * np.sin(np.mod(targets, TWO_PI))
+    rot = np.cos(half) * eye - 1j * np.sin(half) * PAULI_X[:, :, None]
+    return np.moveaxis(_mul(rot, out), -1, 0)
 
 
 def propagator_at(config: DriveConfiguration, tau_points, steps_per_period: int = _STEPS_PER_PERIOD):

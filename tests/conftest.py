@@ -1,12 +1,17 @@
+import contextlib
+from dataclasses import replace
 import math
 
 import pytest
 
+from dressedspin import propagate
 from dressedspin.config import (
     DressingField,
     DriveConfiguration,
     StaticField,
     TuningComponent,
+    TuningTerm,
+    dimensionless,
 )
 
 KHZ = 2.0 * math.pi * 1e3
@@ -30,6 +35,25 @@ def make_config(omega_khz, xi=0.0, w0_khz=(0.0, 0.0, 0.0), tuning=(), spin="half
         tuning=comps,
         spin=spin,
     )
+
+
+def lab_bundle(bundle):
+    """The same drive with xi = 0 and the dressing term as an x tuning component.
+
+    propagate integrates in the frame that follows the dressing rotation; for
+    this bundle that frame is the lab frame and the rotation back is the
+    identity, so the package's own integrator runs the lab-frame ODE: the
+    route it took before it moved to the dressing frame.
+    """
+    return replace(bundle, xi=0.0, tuning=bundle.tuning + (TuningTerm("x", bundle.xi, 1, 0.0),))
+
+
+@contextlib.contextmanager
+def lab_frame():
+    """Within the block, every propagate entry point integrates in the lab frame."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(propagate, "dimensionless", lambda config: lab_bundle(dimensionless(config)))
+        yield
 
 
 def bessel_series_oracle(n, x, terms=60):

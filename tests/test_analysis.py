@@ -1,3 +1,4 @@
+from dataclasses import replace
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from dressedspin.analysis import (
     ScanRow,
     ScanSpec,
     _apply_branch_continuity,
+    _timeseries_omega,
     calibrate,
     extract_frequency,
     run_scan,
@@ -19,7 +21,7 @@ from dressedspin.fitting import bisect_root
 from dressedspin.propagate import CoherenceSeries, monodromy_quasienergy, propagate_spin_half
 from dressedspin.special import bessel_j
 
-from conftest import KHZ, make_config
+from conftest import KHZ, lab_frame, make_config
 
 
 def _series(t_end, samples, f):
@@ -170,6 +172,54 @@ def test_scan_monodromy_and_timeseries_methods():
         assert row.timeseries == pytest.approx(row.monodromy, rel=1e-3)
         assert row.alias_ambiguous is False
         assert row.p1_norm_max > 0.0
+
+
+def test_scan_timeseries_window_sized_from_monodromy():
+    # odd-harmonic between its numeric zero of Omega_L (xi = 3.414) and the
+    # first-order zero (xi = 3.46): first order is 3-40x off here, and a
+    # window sized from it was too short (3.39, 3.40: NoOscillation) or too
+    # long (3.46, 3.48: NoConvergence).  Sized from the monodromy value, the
+    # fit meets the bound of a well-sized window (seen: 1.2e-5 to 5.7e-5).
+    base = make_config(9.0, xi=1.0, w0_khz=(0, 0, 2.040), tuning=(("y", 4.97, 1, math.pi / 2),))
+    spec = ScanSpec(
+        swept="xi", grid=(3.39, 3.40, 3.46, 3.48), base=base, methods=("perturbative", "monodromy", "timeseries")
+    )
+    for row in run_scan(spec).rows:
+        assert row.errors == ()
+        ratio = row.monodromy / row.perturbative
+        assert max(ratio, 1.0 / ratio) > 3.0
+        assert row.timeseries == pytest.approx(row.monodromy, rel=2e-3)
+
+
+def test_xi_scan_within_stated_bounds_of_lab_route():
+    # The README odd-harmonic xi range, 24 points, all three methods, against
+    # the lab-frame route (what the package computed before it integrated in
+    # the dressing frame; seen: monodromy 5.6e-12 and time series 1.1e-11 of
+    # omega apart with windows sized alike).  Closed-form cells are identical.
+    # Every row has a time-series value, within 2e-3 of monodromy, or 5e-2
+    # where monodromy is more than 10 % off first order.
+    omega = 9.0 * KHZ
+    base = make_config(9.0, xi=1.0, w0_khz=(0, 0, 2.040), tuning=(("y", 4.97, 1, math.pi / 2),))
+    spec = ScanSpec(swept="xi", grid=tuple(np.linspace(0.6, 5.0, 24)), base=base,
+                    methods=("perturbative", "monodromy", "timeseries"))
+    rows = run_scan(spec).rows
+    sized = [abs(r.monodromy / r.perturbative - 1.0) <= 0.1 for r in rows]
+    # every fifth row whose first-order window is sized right
+    probe = [i for i in range(len(rows)) if sized[i]][::5]
+    with lab_frame():
+        lab = run_scan(replace(spec, methods=("perturbative", "monodromy"))).rows
+        lab_ts = [_timeseries_omega(spec.config_at(spec.grid[i]), rows[i].perturbative) for i in probe]
+    for row, ref, ok in zip(rows, lab, sized):
+        assert row.errors == ()
+        assert (row.perturbative, row.eta, row.p1_norm_max) == (ref.perturbative, ref.eta, ref.p1_norm_max)
+        assert abs(row.monodromy - ref.monodromy) <= 1e-10 * omega
+        assert row.alias_ambiguous == ref.alias_ambiguous
+        assert row.timeseries == pytest.approx(row.monodromy, rel=2e-3 if ok else 5e-2)
+    # with the lab route's window (sized from first order) the fitted time
+    # series moves by no more than the monodromy
+    assert len(probe) >= 3
+    for i, want in zip(probe, lab_ts):
+        assert abs(_timeseries_omega(spec.config_at(spec.grid[i]), rows[i].perturbative) - want) <= 1e-10 * omega
 
 
 @pytest.mark.parametrize("spin", ["half", "one"])
