@@ -17,7 +17,7 @@ import numpy as np
 from .config import DriveConfiguration, validate
 from .effective import bare_precession, floquet_first_order, rectified_field
 from .errors import DegenerateData, DressedSpinError, FitDiverged, NoOscillation
-from .fitting import Lcg64, bisect_root, least_squares
+from .fitting import Lcg64, least_squares
 from .propagate import (
     CoherenceSeries,
     monodromy_quasienergy,
@@ -41,7 +41,7 @@ __all__ = [
 
 # First zero of J0, located by the package's own bisection against bessel_j;
 # pinned here (and re-derived in the tests) because calibration inverts J0 on
-# [0, first root).
+# [0, first root].
 J0_FIRST_ROOT = 2.404825557695773
 
 SWEEPABLE = ("xi", "phi", "omega0x")
@@ -300,10 +300,38 @@ def _ratio_model(omega0x_nominal, omega0z, params):
     scale, tilt, xi = params
     wx = omega0x_nominal * scale
     wz = omega0z + tilt * wx
-    j0 = bessel_j(0, xi)
+    j0, j1 = bessel_j(range(2), xi)
     num = np.hypot(wx, wz * j0)
     den = np.hypot(wx, wz)
-    return num, den, wx, wz, j0
+    return num, den, wx, wz, j0, j1
+
+
+def _invert_j0(r0):
+    """The x in [0, J0_FIRST_ROOT] with J0(x) = r0, for 0 < r0 <= 1.
+
+    Bracketed Newton iteration (rtsafe, Numerical Recipes 9.4) with
+    J0' = -J1, both read from one Bessel table per iterate; a step that would
+    leave the bracket is replaced by bisection.  Stops at a step <= 1e-12.
+    A ratio below J0 of the pinned root (5e-17) lands on the root.
+    """
+    lo, hi = 0.0, J0_FIRST_ROOT
+    x = min(2.0 * math.sqrt(1.0 - r0), hi)  # root of the small-x form 1 - x^2/4
+    for _ in range(100):
+        j0, j1 = bessel_j(range(2), x)
+        f = j0 - r0  # decreasing in x on the bracket
+        if f == 0.0:
+            return x
+        if f > 0.0:
+            lo = x
+        else:
+            hi = x
+        x_new = x + f / j1
+        if not lo <= x_new <= hi:
+            x_new = 0.5 * (lo + hi)
+        if abs(x_new - x) <= 1e-12:
+            return x_new
+        x = x_new
+    return x
 
 
 def calibrate(ratio_data, omega0z: float) -> CalibrationFit:
@@ -318,6 +346,14 @@ def calibrate(ratio_data, omega0z: float) -> CalibrationFit:
                     / Omega0(w*scale, omega0z + tilt*w*scale; 0)
     with Omega0 the tuning-off precession law.  Fits with |tilt| > 0.2 are
     rejected as unphysical.
+
+    The fit starts from scale 1, tilt 0 and the xi in [0, J0_FIRST_ROOT]
+    with J0(xi) equal to the zero-field ratio (clipped to 1), found by a
+    bracketed Newton iteration; a ratio below J0 of the pinned root starts
+    at the root.  The fit stops at a relative step of 1e-10, so its last
+    digits depend on the start: from a start bisected to 1e-12 instead, the
+    fitted values agree within 1e-6 of each 1-sigma error (tested over 200
+    seeded synthetic data sets).
     """
     data = [(float(w), float(r)) for w, r in ratio_data]
     if len(data) < 5:
@@ -331,22 +367,17 @@ def calibrate(ratio_data, omega0z: float) -> CalibrationFit:
     if np.any(ratios <= 0.0):
         raise DegenerateData("ratios must be positive")
 
-    # initial guesses: invert J0 on [0, first root) using the zero-field point
+    # initial guesses: invert J0 on [0, first root] at the zero-field point
     i0 = int(np.argmin(np.abs(wx)))
-    r0 = min(float(ratios[i0]), 1.0)
-    if r0 >= 1.0:
-        xi0 = 0.0
-    else:
-        xi0 = bisect_root(lambda x: bessel_j(0, x) - r0, 0.0, J0_FIRST_ROOT - 1e-9, xtol=1e-12)
+    xi0 = _invert_j0(min(float(ratios[i0]), 1.0))
 
     def residuals(params):
-        num, den, _, _, _ = _ratio_model(wx, omega0z, params)
+        num, den = _ratio_model(wx, omega0z, params)[:2]
         return num / den - ratios
 
     def jacobian(params):
         scale, tilt, xi = params
-        num, den, wxs, wzs, j0 = _ratio_model(wx, omega0z, params)
-        j1 = bessel_j(1, xi)
+        num, den, wxs, wzs, j0, j1 = _ratio_model(wx, omega0z, params)
         dnum_dscale = (wxs * wx + wzs * (tilt * wx) * j0 * j0) / num
         dden_dscale = (wxs * wx + wzs * (tilt * wx)) / den
         dnum_dtilt = wzs * wxs * j0 * j0 / num

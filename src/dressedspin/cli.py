@@ -7,9 +7,14 @@ is deterministic: identical invocations produce byte-identical files.
 
 Exit codes: 0 success, 2 usage/configuration error, 3 numerical failure,
 4 fit failure.
+
+The argument parser is built once per process, on the first ``main`` call,
+and reused by every later call; parsing leaves no state in it.  Run as
+``dressedspin ...`` once installed, or ``python -m dressedspin ...``.
 """
 
 import argparse
+import functools
 import math
 import sys
 
@@ -259,6 +264,7 @@ def cmd_calibrate(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dressedspin",

@@ -1,14 +1,18 @@
 from dataclasses import replace
 import math
+import statistics
 
+from hypothesis import example, given, settings, strategies as st
 import numpy as np
 import pytest
 
+from dressedspin import analysis, special
 from dressedspin.analysis import (
     J0_FIRST_ROOT,
     ScanRow,
     ScanSpec,
     _apply_branch_continuity,
+    _invert_j0,
     _timeseries_omega,
     calibrate,
     extract_frequency,
@@ -323,3 +327,78 @@ def test_synthetic_data_deterministic():
 def test_j0_first_root_constant_consistent():
     root = bisect_root(lambda x: bessel_j(0, x), 2.0, 3.0, xtol=1e-13)
     assert J0_FIRST_ROOT == pytest.approx(root, abs=1e-10)
+
+
+@settings(deadline=None, max_examples=300)
+@given(r0=st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True))
+@example(r0=5e-324)
+@example(r0=1e-12)
+@example(r0=1e-6)
+@example(r0=0.999)
+@example(r0=1.0 - 2.0**-53)
+def test_j0_inverse_is_bracketed_exact_and_cheap(r0):
+    special._bessel_table.cache_clear()
+    x = _invert_j0(r0)
+    recurrences = special._bessel_table.cache_info().misses
+    assert 0.0 <= x <= J0_FIRST_ROOT
+    assert abs(bessel_j(0, x) - r0) <= 1e-15
+    assert recurrences <= (10 if 1e-6 <= r0 <= 0.999 else 30)
+    if r0 <= 0.999:  # above, the root moves by 1/J1(x) >> 1 per unit of J0 rounding
+        oracle = bisect_root(lambda y: bessel_j(0, y) - r0, 0.0, 2.5, xtol=1e-14)
+        assert x == pytest.approx(oracle, abs=1e-10)
+
+
+def _bisection_start(r0):
+    """The calibration start value of the bisection route the J0 inverse replaced."""
+    if r0 >= 1.0:
+        return 0.0
+    return bisect_root(lambda x: bessel_j(0, x) - r0, 0.0, J0_FIRST_ROOT - 1e-9, xtol=1e-12)
+
+
+def _calibrate_counting(data):
+    """(fit or the fit exception's type, Bessel recurrences the call ran)."""
+    special._bessel_table.cache_clear()
+    try:
+        out = calibrate(data, omega0z=W0Z)
+    except (FitDiverged, DegenerateData) as exc:
+        out = type(exc)
+    return out, special._bessel_table.cache_info().misses
+
+
+def test_calibrate_matches_bisection_start_route(monkeypatch):
+    # the CLI's `calibrate --synthetic` defaults, seeds 0..199
+    newton, bisection, recurrences = [], [], []
+    for seed in range(200):
+        data = synthetic_calibration_data(
+            CAL_GRID, omega0z=W0Z, xi=1.833, scale=1.0, tilt=0.03, noise=0.002, seed=seed
+        )
+        fit, count = _calibrate_counting(data)
+        newton.append(fit)
+        recurrences.append(count)
+        with monkeypatch.context() as mp:
+            mp.setattr(analysis, "_invert_j0", _bisection_start)
+            bisection.append(_calibrate_counting(data)[0])
+    for a, b in zip(newton, bisection):
+        assert isinstance(a, type) == isinstance(b, type)
+        if isinstance(b, type):
+            assert a is b
+            continue
+        for name in ("scale", "tilt", "xi"):
+            assert abs(getattr(a, name) - getattr(b, name)) <= 1e-6 * getattr(b, name + "_err")
+        assert a.residual_norm == pytest.approx(b.residual_norm, rel=1e-10)
+    assert statistics.median(recurrences) <= 25
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    xi=st.floats(min_value=0.2, max_value=2.35),
+    scale=st.floats(min_value=0.8, max_value=1.2),
+    tilt=st.floats(min_value=-0.1, max_value=0.1),
+)
+def test_calibrate_noiseless_recovers_truth_over_domain(xi, scale, tilt):
+    # the zero-field ratio J0(xi) runs from 0.99 down to 0.028 over this range
+    data = synthetic_calibration_data(CAL_GRID, omega0z=W0Z, xi=xi, scale=scale, tilt=tilt)
+    fit = calibrate(data, omega0z=W0Z)
+    assert fit.xi == pytest.approx(xi, abs=1e-8)
+    assert fit.scale == pytest.approx(scale, abs=1e-8)
+    assert fit.tilt == pytest.approx(tilt, abs=1e-8)

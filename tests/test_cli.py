@@ -1,10 +1,16 @@
 import math
+import os
+from pathlib import Path
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import dressedspin
 from dressedspin import cli
 from dressedspin.cli import main
+from dressedspin.analysis import J0_FIRST_ROOT
 from dressedspin.errors import NoConvergence
 from dressedspin.special import bessel_j
 
@@ -333,3 +339,55 @@ def test_no_ansi_escapes(tmp_path, capsys):
     main(["effective-field", cfg])
     captured = capsys.readouterr()
     assert "\x1b" not in captured.out + captured.err
+
+
+def _fresh_process(argv):
+    """(exit code, stdout) of `python -m dressedspin argv` in a new interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(Path(dressedspin.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "dressedspin", *argv], capture_output=True, text=True, env=env)
+    return proc.returncode, proc.stdout
+
+
+def test_python_m_runs_the_cli():
+    code, out = _fresh_process(["calibrate", "--omega0z", "5.979", "--synthetic"])
+    assert code == 0
+    assert out.startswith("scale         : ")
+
+
+def test_cached_parser_holds_no_state_between_calls(tmp_path, capsys, monkeypatch):
+    cfg = _write(tmp_path, "drive.cfg", EVEN_HARMONIC_CFG)
+    with_set = ["effective-field", cfg, "--set", "static.x=3"]
+    without = ["effective-field", cfg]
+    cli.build_parser.cache_clear()
+    outputs = []
+    for argv in (with_set, without, with_set):
+        assert main(argv) == 0
+        outputs.append(capsys.readouterr().out)
+    with pytest.raises(SystemExit) as usage:
+        main(["calibrate", "--synthetic"])  # --omega0z missing
+    assert usage.value.code == 2
+    assert main(["calibrate", "--omega0z", "5.979", "--omega", "0", "--synthetic"]) == 2
+    assert main(without) == 0
+    outputs.append(capsys.readouterr().out)
+    fresh = {tuple(argv): _fresh_process(argv)[1] for argv in (with_set, without)}
+    assert outputs[0] != outputs[1]
+    assert outputs == [fresh[tuple(argv)] for argv in (with_set, without, with_set, without)]
+
+    # module-level names the commands call stay patchable once the parser is built
+    def fail(*args, **kwargs):
+        raise NoConvergence("forced")
+
+    monkeypatch.setattr(cli, "run_scan", fail)
+    assert main(["scan", cfg, "--sweep", "xi", "--from", "1", "--to", "2", "--points", "2"]) == 3
+    assert cli.build_parser.cache_info().misses == 1
+
+
+def test_calibrate_tiny_zero_field_ratio_starts_at_the_j0_root(tmp_path, capsys):
+    # the zero-field ratio is below J0(J0_FIRST_ROOT - 1e-9) ~ 5e-10: a start
+    # bracketed short of the root finds no sign change there
+    data = tmp_path / "ratios.csv"
+    data.write_text("omega0x_kHz,ratio\n0,1e-12\n2,0.4\n4,0.6\n6,0.75\n8,0.82\n10,0.87\n")
+    assert main(["calibrate", str(data), "--omega0z", "5.979"]) == 0
+    out = capsys.readouterr().out
+    xi = float(out.splitlines()[2].split(":")[1].split("+-")[0])
+    assert xi == pytest.approx(J0_FIRST_ROOT, abs=1e-6)
