@@ -59,6 +59,6 @@ from .propagate import (
     propagate_bloch_spin1,
     propagate_spin_half,
 )
-from .special import SeriesControl, bessel_j, f_aux, g_func, phi
+from .special import bessel_j, f_aux, g_func, phi
 
 __version__ = "0.1.0"

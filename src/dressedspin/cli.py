@@ -151,6 +151,15 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+# Per sweep: CSV column of the swept value, command-line value -> package
+# value, and package value -> CSV value.
+_SWEEP_UNITS = {
+    "xi": ("xi", lambda v: v, lambda v: v),
+    "phi": ("phi_deg", math.radians, math.degrees),
+    "omega0x": ("omega0x_kHz", lambda v: v * _KHZ, lambda v: v / _KHZ),
+}
+
+
 def cmd_scan(args) -> int:
     config = _load(args)
     if args.points < 2:
@@ -158,11 +167,8 @@ def cmd_scan(args) -> int:
     if args.jobs < 1:
         raise ConfigFileError("--jobs must be >= 1", source="<args>", key="jobs")
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
-    lo, hi = args.start, args.stop
-    if args.sweep == "phi":
-        lo, hi = math.radians(lo), math.radians(hi)
-    elif args.sweep == "omega0x":
-        lo, hi = lo * _KHZ, hi * _KHZ
+    value_col, from_cli, value_of = _SWEEP_UNITS[args.sweep]
+    lo, hi = from_cli(args.start), from_cli(args.stop)
     step = (hi - lo) / (args.points - 1)
     grid = [lo + i * step for i in range(args.points)]
     try:
@@ -170,13 +176,6 @@ def cmd_scan(args) -> int:
     except ValueError as exc:  # equal --from/--to, unknown method, phi sweep without one tuning term
         raise ConfigFileError(str(exc), source="<args>") from None
     result = run_scan(spec, jobs=args.jobs)
-
-    if args.sweep == "xi":
-        value_col, value_of = "xi", lambda v: v
-    elif args.sweep == "phi":
-        value_col, value_of = "phi_deg", math.degrees
-    else:
-        value_col, value_of = "omega0x_kHz", lambda v: v / _KHZ
 
     header = [value_col]
     for m in methods:
@@ -292,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", help="sweep xi, the tuning phase, or the transverse field")
     add_config_args(p)
-    p.add_argument("--sweep", choices=("xi", "phi", "omega0x"), required=True)
+    p.add_argument("--sweep", choices=tuple(_SWEEP_UNITS), required=True)
     p.add_argument("--from", type=float, required=True, dest="start",
                    help="start value (xi: dimensionless, phi: degrees, omega0x: kHz)")
     p.add_argument("--to", type=float, required=True, dest="stop", help="end value")

@@ -5,7 +5,8 @@ The fits in this package are low-dimensional and smooth, so a damped
 Gauss-Newton iteration (Levenberg-Marquardt style damping schedule) is
 plenty: solve (J^T J + lambda diag(J^T J)) delta = -J^T r, grow lambda on
 rejected steps, shrink it on accepted ones, stop when the relative step
-drops below step_tol or after max_iter iterations.
+drops below ``_STEP_TOL`` or after ``_MAX_ITER`` iterations.  Both are
+private module constants read at call time, not arguments.
 """
 
 from dataclasses import dataclass
@@ -17,6 +18,11 @@ from .errors import FitDiverged
 
 __all__ = ["FitResult", "least_squares", "bisect_root", "Lcg64"]
 
+# Stopping rule: most iterations of a fit or a bisection, and the relative
+# step below which a fit counts as converged.
+_MAX_ITER = 200
+_STEP_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class FitResult:
@@ -27,18 +33,11 @@ class FitResult:
     converged: bool
 
 
-def least_squares(
-    residuals,
-    x0,
-    jacobian,
-    *,
-    max_iter: int = 200,
-    step_tol: float = 1e-10,
-) -> FitResult:
+def least_squares(residuals, x0, jacobian) -> FitResult:
     """Minimise 0.5*||residuals(x)||^2 by damped Gauss-Newton.
 
     jacobian(x) returns the m-by-n residual Jacobian.  Convergence: relative
-    step below step_tol (or the cost already exactly zero); running out of
+    step below _STEP_TOL (or the cost already exactly zero); running out of
     iterations or failing to find a descent step returns converged=False.
     """
     x = np.asarray(x0, dtype=float).copy()
@@ -49,7 +48,7 @@ def least_squares(
     lam = 1e-3
     converged = False
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         jac = np.asarray(jacobian(x))
         grad = jac.T @ r
         jtj = jac.T @ jac
@@ -75,7 +74,7 @@ def least_squares(
         step = float(np.linalg.norm(delta)) / (float(np.linalg.norm(x)) + 1e-300)
         x, r, cost = x_new, r_new, cost_new
         lam = max(lam / 3.0, 1e-14)
-        if step < step_tol or cost == 0.0:
+        if step < _STEP_TOL or cost == 0.0:
             converged = True
             break
 
@@ -96,7 +95,7 @@ def least_squares(
     )
 
 
-def bisect_root(f, a: float, b: float, *, xtol: float = 1e-12, max_iter: int = 200) -> float:
+def bisect_root(f, a: float, b: float, *, xtol: float = 1e-12) -> float:
     """Root of f in [a, b] by bisection; requires a sign change over the bracket."""
     fa, fb = f(a), f(b)
     if fa == 0.0:
@@ -105,7 +104,7 @@ def bisect_root(f, a: float, b: float, *, xtol: float = 1e-12, max_iter: int = 2
         return b
     if (fa > 0.0) == (fb > 0.0):
         raise ValueError(f"no sign change over [{a:g}, {b:g}]")
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         mid = 0.5 * (a + b)
         fm = f(mid)
         if fm == 0.0 or (b - a) < xtol:

@@ -10,10 +10,12 @@ to the lab frame in closed form, U = (cos(phi/2) - i sin(phi/2) sigma_x) U~;
 at whole periods the rotation is the identity, so the monodromy is U~(2 pi).
 
 The transformed dynamics are integrated with a classical fixed-step RK4
-scheme under global step-halving control: starting from ``_STEPS_PER_PERIOD``
-steps per drive period, the whole calculation is repeated with doubled step
-count, at most ``_MAX_REFINEMENTS`` times, until the result moves by less
-than ``_REL_TOL``.
+scheme under global step-halving control, one loop (``_refine``) for every
+result: starting from ``_STEPS_PER_PERIOD`` steps per drive period, the whole
+calculation is repeated with doubled step count, at most
+``_MAX_REFINEMENTS`` times, until the result moves by at most ``_REL_TOL``
+of its scale with its norm drift in bounds.  The settings are private
+module constants, read at call time.
 No renormalisation is applied during integration -- norm drift is the error
 diagnostic, not something to hide.  Step sizes and node times of a whole
 integration are laid out up front.  The ODE is linear, so one RK4 step is
@@ -165,22 +167,62 @@ def _integrate_targets(bundle, targets, base_step):
     return np.moveaxis(_mul(rot, out), -1, 0)
 
 
-def propagator_at(config: DriveConfiguration, tau_points, steps_per_period: int = _STEPS_PER_PERIOD):
+def propagator_at(config: DriveConfiguration, tau_points):
     """Propagator of the full drive at the given ascending tau points.
 
     Spin model chosen by config.spin: the 2x2 U for spin half, its 3x3
-    rotation image for spin one.  Utility for consistency checks; the
-    high-level entry points below add step-halving convergence control.
+    rotation image for spin one.  One integration at _STEPS_PER_PERIOD steps
+    per period; utility for consistency checks.  The high-level entry points
+    below add step-halving convergence control.
     """
     bundle = dimensionless(config)
     pts = [float(t) for t in tau_points]
     if any(b < a for a, b in zip(pts, pts[1:])) or (pts and pts[0] < 0.0):
         raise ValueError("tau_points must be ascending and >= 0")
-    mats = _integrate_targets(bundle, pts, TWO_PI / steps_per_period)
+    mats = _integrate_targets(bundle, pts, TWO_PI / _STEPS_PER_PERIOD)
     return list(mats) if bundle.spin == "half" else [_rotation(u) for u in mats]
 
 
-def _sampled_series(bundle, taus, psi0, steps_per_period):
+def _refine(run, scale, drift_limit, name):
+    """The step-halving loop of every result of this module.
+
+    run(steps) integrates at that many steps per period and returns (value,
+    drift, result).  The steps double from _STEPS_PER_PERIOD at most
+    _MAX_REFINEMENTS times; the first result whose value moved by at most
+    _REL_TOL * scale(value), with drift <= drift_limit, is returned.  Else a
+    last drift out of bounds raises UnitarityLost, and NoConvergence if not.
+    """
+    steps = _STEPS_PER_PERIOD
+    prev, drift, _ = run(steps)
+    err = math.inf
+    for _ in range(_MAX_REFINEMENTS):
+        steps *= 2
+        value, drift, result = run(steps)
+        err = float(np.max(np.abs(value - prev)))
+        if err <= _REL_TOL * scale(value) and drift <= drift_limit:
+            return result
+        prev = value
+    if drift > drift_limit:
+        raise UnitarityLost(
+            f"{name} unitarity error {drift:.3e} exceeds {drift_limit:g} after "
+            f"{_MAX_REFINEMENTS} refinements ({steps} steps/period)"
+        )
+    raise NoConvergence(
+        f"{name} not converged after {_MAX_REFINEMENTS} refinements "
+        f"({steps} steps/period, last change {err:.3e})"
+    )
+
+
+def _sample_times(t_end, samples):
+    """samples evenly spaced times from 0 to t_end (t_end > 0, samples >= 2)."""
+    if not t_end > 0.0:
+        raise ValueError("t_end must be > 0")
+    if samples < 2:
+        raise ValueError("samples must be >= 2")
+    return np.linspace(0.0, t_end, samples)
+
+
+def _sampled_series(bundle, taus, psi0, steps):
     """Evaluate the state at each tau via the one-period factorisation."""
     ks = np.floor(taus / TWO_PI).astype(np.int64)
     ss = taus - TWO_PI * ks
@@ -193,7 +235,7 @@ def _sampled_series(bundle, taus, psi0, steps_per_period):
     targets = list(unique_s)
     if not targets or targets[-1] < TWO_PI:
         targets.append(TWO_PI)
-    mats = _integrate_targets(bundle, targets, TWO_PI / steps_per_period)
+    mats = _integrate_targets(bundle, targets, TWO_PI / steps)
     monodromy = mats[-1]
 
     # M^k psi0 once per period index k, then every state in one stacked matmul
@@ -226,44 +268,20 @@ def _propagate(config, t_end, samples, psi0, m_norm=None):
     of the convergence criterion rather than an afterthought.  Given m_norm,
     the series is a spin-one M = <sigma> with |M(0)| = m_norm, and the drift
     is measured on |M| rather than on |psi|, against _BLOCH_NORM_TOL."""
-    if not t_end > 0.0:
-        raise ValueError("t_end must be > 0")
-    if samples < 2:
-        raise ValueError("samples must be >= 2")
+    times = _sample_times(t_end, samples)
     bundle = dimensionless(config)
-    omega = config.dressing.omega
-    times = np.linspace(0.0, t_end, samples)
-    taus = times * omega
+    taus = times * config.dressing.omega
     norm0 = float(np.linalg.norm(psi0)) if m_norm is None else m_norm
-    norm_tol = _UNITARITY_DRIFT_LIMIT if m_norm is None else _BLOCH_NORM_TOL
 
-    steps = _STEPS_PER_PERIOD
-    states = _sampled_series(bundle, taus, psi0, steps)
-    prev = np.column_stack(_coherences_from_states(states)[:3])
-    err = math.inf
-    drift = math.inf
-    for _ in range(_MAX_REFINEMENTS):
-        steps *= 2
-        states = _sampled_series(bundle, taus, psi0, steps)
-        sx, sy, sz, norms = _coherences_from_states(states)
+    def run(steps):
+        sx, sy, sz, norms = _coherences_from_states(_sampled_series(bundle, taus, psi0, steps))
         if m_norm is not None:
             norms = np.sqrt(sx * sx + sy * sy + sz * sz)
-        cur = np.column_stack((sx, sy, sz))
-        err = float(np.max(np.abs(cur - prev)))
-        scale = max(1.0, float(np.max(np.abs(cur))))
         drift = float(np.max(np.abs(norms / norm0 - 1.0)))
-        if err <= _REL_TOL * scale and drift <= norm_tol:
-            return times, sx, sy, sz
-        prev = cur
-    if drift > norm_tol:
-        raise UnitarityLost(
-            f"norm drift {drift:.3e} exceeds {norm_tol:g} after "
-            f"{_MAX_REFINEMENTS} refinements ({steps} steps/period)"
-        )
-    raise NoConvergence(
-        f"series not converged after {_MAX_REFINEMENTS} refinements "
-        f"({steps} steps/period, last change {err:.3e})"
-    )
+        return np.column_stack((sx, sy, sz)), drift, (times, sx, sy, sz)
+
+    drift_limit = _UNITARITY_DRIFT_LIMIT if m_norm is None else _BLOCH_NORM_TOL
+    return _refine(run, lambda cur: max(1.0, float(np.max(np.abs(cur)))), drift_limit, "series")
 
 
 def propagate_spin_half(
@@ -316,48 +334,35 @@ def propagate_bloch_spin1(
     return CoherenceSeries(times=times, sx=mx, sy=my, sz=mz, source="numeric")
 
 
-def _quasienergy_once(bundle, omega, steps):
-    u = _integrate_targets(bundle, [TWO_PI], TWO_PI / steps)[0]
-    mono = u if bundle.spin == "half" else _rotation(u)
-    gram = mono.conj().T @ mono
-    unit_err = float(np.linalg.norm(gram - np.eye(gram.shape[0]), 2))
-    angles = np.angle(np.linalg.eigvals(mono))
-    if bundle.spin == "half":
-        theta = float(np.mean(np.abs(angles)))  # phases come as ~(+t, -t)
-        return theta, theta * omega / math.pi, unit_err
-    theta = float(np.max(np.abs(angles)))  # spectrum {1, exp(+-i theta)}
-    return theta, theta * omega / TWO_PI, unit_err
-
-
 def monodromy_quasienergy(config: DriveConfiguration) -> QuasiEnergy:
     """Larmor frequency from the propagator over exactly one drive period.
 
     The dressing phase closes after one period, so the monodromy eigenphases
     +-theta give Omega_L = theta*omega/pi for spin half (half-angle rotation)
     and theta*omega/(2 pi) for spin one.  Step-halving refines until the
-    extracted frequency moves by less than _REL_TOL * omega; a monodromy
-    unitarity error past _UNITARITY_DRIFT_LIMIT then raises UnitarityLost.
+    extracted frequency moves by at most _REL_TOL * omega with a monodromy
+    unitarity error within _UNITARITY_DRIFT_LIMIT; an error still past it
+    after the last refinement raises UnitarityLost.
     """
     bundle = dimensionless(config)
     omega = config.dressing.omega
-    steps = _STEPS_PER_PERIOD
-    theta, om_prev, unit_err = _quasienergy_once(bundle, omega, steps)
-    for _ in range(_MAX_REFINEMENTS):
-        steps *= 2
-        theta, om_cur, unit_err = _quasienergy_once(bundle, omega, steps)
-        if abs(om_cur - om_prev) <= _REL_TOL * omega:
-            if unit_err > _UNITARITY_DRIFT_LIMIT:
-                raise UnitarityLost(f"monodromy unitarity error {unit_err:.3e}")
-            return QuasiEnergy(
-                omega_L_numeric=om_cur,
-                alias_ambiguous=(theta < _ALIAS_TOL or math.pi - theta < _ALIAS_TOL),
-                monodromy_unitarity_error=unit_err,
-            )
-        om_prev = om_cur
-    raise NoConvergence(
-        f"quasienergy not converged after {_MAX_REFINEMENTS} refinements "
-        f"({steps} steps/period)"
-    )
+
+    def run(steps):
+        u = _integrate_targets(bundle, [TWO_PI], TWO_PI / steps)[0]
+        mono = u if bundle.spin == "half" else _rotation(u)
+        gram = mono.conj().T @ mono
+        unit_err = float(np.linalg.norm(gram - np.eye(gram.shape[0]), 2))
+        angles = np.abs(np.angle(np.linalg.eigvals(mono)))
+        if bundle.spin == "half":
+            theta = float(np.mean(angles))  # phases come as ~(+t, -t)
+            om = theta * omega / math.pi
+        else:
+            theta = float(np.max(angles))  # spectrum {1, exp(+-i theta)}
+            om = theta * omega / TWO_PI
+        alias = theta < _ALIAS_TOL or math.pi - theta < _ALIAS_TOL
+        return om, unit_err, QuasiEnergy(om, alias, unit_err)
+
+    return _refine(run, lambda om: omega, _UNITARITY_DRIFT_LIMIT, "monodromy")
 
 
 def quasienergy_candidates(x: float, omega: float, spin: str = "half"):
@@ -391,14 +396,10 @@ def analytic_coherences(
     A vanishing rectified field has no precession axis: the series is
     returned frozen (sx = 1, sy = sz = 0) with degenerate_field set.
     """
-    if not t_end > 0.0:
-        raise ValueError("t_end must be > 0")
-    if samples < 2:
-        raise ValueError("samples must be >= 2")
+    times = _sample_times(t_end, samples)
     field = rectified_field(config)
     xi = config.xi()
     omega = config.dressing.omega
-    times = np.linspace(0.0, t_end, samples)
     if field.omega_L == 0.0:
         ones = np.ones_like(times)
         zeros = np.zeros_like(times)

@@ -7,9 +7,10 @@ functions and a periodic remainder; this module evaluates the Bessel factors
 J_n and the periodic remainders f1..f4 and g.
 
 Each evaluation of f1, f2 or g reads one table of J_n from one Bessel
-recurrence and follows one SeriesControl contract: terms are added until
-the tau-independent envelope of the next term drops below ``abs_tol``;
-hitting ``max_terms`` first raises SeriesNotConverged.
+recurrence and follows one truncation rule, set by two private module
+constants read at call time: terms are added until the tau-independent
+envelope of the next level drops below ``_SERIES_ABS_TOL``; reaching
+``_SERIES_MAX_TERMS`` levels first raises SeriesNotConverged.
 
 Only tau varies along a P1 diagnostic, so the tau-independent work is
 memoised in two bounded least-recently-used caches:
@@ -18,15 +19,14 @@ memoised in two bounded least-recently-used caches:
   recurrence, keyed on (hi, |x|), at most ``_TABLE_CACHE`` tables;
   ``bessel_j`` applies the sign of x and returns a fresh list or a float.
 - ``_g_coefficients`` holds the per-level (k, c) pairs of g up to its stop
-  level, keyed on (xi, p, Phi, SeriesControl), at most ``_G_CACHE`` sets;
-  each g evaluation sums c*(exp(i k tau) - 1) over them.
+  level, keyed on (xi, p, Phi, abs_tol, max_terms), at most ``_G_CACHE``
+  sets; each g evaluation sums c*(exp(i k tau) - 1) over them.
 
 A cached value is the one the same float operations give on a miss, keyed
 on every input they read, and an exception (SeriesNotConverged) is never
 cached, so results do not depend on cache state or call history.
 """
 
-from dataclasses import dataclass
 import cmath
 import functools
 import math
@@ -34,8 +34,6 @@ import math
 from .errors import SeriesNotConverged
 
 __all__ = [
-    "SeriesControl",
-    "DEFAULT_SERIES",
     "bessel_j",
     "phi",
     "f_aux",
@@ -43,21 +41,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SeriesControl:
-    """Truncation policy for the Bessel series f1..f4 and g."""
-
-    abs_tol: float = 1e-12
-    max_terms: int = 64
-
-    def __post_init__(self):
-        if not self.abs_tol > 0.0:
-            raise ValueError("abs_tol must be > 0")
-        if self.max_terms < 8:
-            raise ValueError("max_terms must be >= 8")
-
-
-DEFAULT_SERIES = SeriesControl()
+# Series truncation: the envelope below which a series stops, and the most
+# levels summed before it raises SeriesNotConverged.
+_SERIES_ABS_TOL = 1e-12
+_SERIES_MAX_TERMS = 64
 
 # Rescaling threshold for the downward recurrence.
 _BIG = 1e250
@@ -125,8 +112,8 @@ def bessel_j(n, x: float):
     return [-table[k] if k % 2 else table[k] for k in n] if neg else list(table[lo:])
 
 
-def _series_terms(levels, xi, past, size, ctl: SeriesControl, name):
-    """Yield the terms of a Bessel series under the SeriesControl contract.
+def _series_terms(levels, xi, past, size, abs_tol, max_terms, name):
+    """Yield the terms of a Bessel series under the truncation rule.
 
     levels(jn) yields (order, envelope, term) per level, up to the term cap,
     from jn = [J_0(xi), ..., J_{size-1}(xi)] of one bessel_j recurrence.  The
@@ -140,9 +127,9 @@ def _series_terms(levels, xi, past, size, ctl: SeriesControl, name):
     jn = bessel_j(range(computed), xi) + [0.0] * (size - computed)
     for order, envelope, term in levels(jn):
         yield term
-        if order > past and envelope < ctl.abs_tol:
+        if order > past and envelope < abs_tol:
             return
-    raise SeriesNotConverged(f"{name} series: {ctl.max_terms} levels with envelope >= {ctl.abs_tol:g} (xi={xi:g})")
+    raise SeriesNotConverged(f"{name} series: {max_terms} levels with envelope >= {abs_tol:g} (xi={xi:g})")
 
 
 def phi(tau: float, xi: float) -> float:
@@ -165,13 +152,15 @@ def _g_levels(jn, p, Phi, cap):
 
 
 @functools.lru_cache(maxsize=_G_CACHE)
-def _g_coefficients(xi, p, Phi, ctl):
+def _g_coefficients(xi, p, Phi, abs_tol, max_terms):
     """The (k, c) pairs of each level of g up to its stop level."""
-    cap = ctl.max_terms  # summed in levels |n|, stopping only past both resonant indices and |xi|
-    return tuple(_series_terms(lambda jn: _g_levels(jn, p, Phi, cap), xi, max(abs(xi), p - 1), cap + 1, ctl, "g"))
+    # summed in levels |n|, stopping only past both resonant indices and |xi|
+    terms = _series_terms(lambda jn: _g_levels(jn, p, Phi, max_terms), xi, max(abs(xi), p - 1), max_terms + 1,
+                          abs_tol, max_terms, "g")
+    return tuple(terms)
 
 
-def g_func(tau: float, xi: float, p: int, Phi: float, ctl: SeriesControl = DEFAULT_SERIES):
+def g_func(tau: float, xi: float, p: int, Phi: float):
     """Periodic remainder of int_0^tau exp(i*phi(tau')) cos(p*tau' + Phi) dtau'.
 
     Double Bessel sum excluding the resonant indices n = -p and n = +p
@@ -182,7 +171,7 @@ def g_func(tau: float, xi: float, p: int, Phi: float, ctl: SeriesControl = DEFAU
     if p < 1:
         raise ValueError("harmonic p must be >= 1")
     total = 0.0
-    for pairs in _g_coefficients(xi, p, Phi, ctl):
+    for pairs in _g_coefficients(xi, p, Phi, _SERIES_ABS_TOL, _SERIES_MAX_TERMS):
         term = 0.0
         for k, c in pairs:
             term += c * (cmath.exp(1j * k * tau) - 1.0)
@@ -199,8 +188,7 @@ def _f_levels(jn, tau, cap, i):
         yield m, abs(c), c * s if i == 1 else c * s * s
 
 
-def f_aux(i: int, tau: float, xi: float, p: int = 1, Phi: float = 0.0,
-          ctl: SeriesControl = DEFAULT_SERIES) -> float:
+def f_aux(i: int, tau: float, xi: float, p: int = 1, Phi: float = 0.0) -> float:
     """Periodic auxiliary f_i(tau), i in 1..4.
 
     f1: remainder of int cos(phi) after removing J_0(xi)*tau (period pi).
@@ -209,13 +197,13 @@ def f_aux(i: int, tau: float, xi: float, p: int = 1, Phi: float = 0.0,
         cos(phi)*cos(p tau+Phi) and sin(phi)*cos(p tau+Phi) integrals.
     """
     if i in (1, 2):
-        cap = ctl.max_terms
+        tol, cap = _SERIES_ABS_TOL, _SERIES_MAX_TERMS
         total = 0.0
-        for term in _series_terms(lambda jn: _f_levels(jn, tau, cap, i), xi, abs(xi), 2 * cap + i, ctl, f"f{i}"):
+        for term in _series_terms(lambda jn: _f_levels(jn, tau, cap, i), xi, abs(xi), 2 * cap + i, tol, cap, f"f{i}"):
             total += term
         return total
     if i == 3:
-        return g_func(tau, xi, p, Phi, ctl).real
+        return g_func(tau, xi, p, Phi).real
     if i == 4:
-        return g_func(tau, xi, p, Phi, ctl).imag
+        return g_func(tau, xi, p, Phi).imag
     raise ValueError("i must be one of 1, 2, 3, 4")

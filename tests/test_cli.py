@@ -1,6 +1,7 @@
 import math
 import os
 from pathlib import Path
+import shlex
 import subprocess
 import sys
 
@@ -391,3 +392,24 @@ def test_calibrate_tiny_zero_field_ratio_starts_at_the_j0_root(tmp_path, capsys)
     out = capsys.readouterr().out
     xi = float(out.splitlines()[2].split(":")[1].split("+-")[0])
     assert xi == pytest.approx(J0_FIRST_ROOT, abs=1e-6)
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _readme_cli_commands():
+    """Each ``dressedspin ...`` line of the README's CLI block, with its
+    continuation lines joined, as an argv list."""
+    section = README.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("dressedspin ")]
+
+
+def test_readme_cli_commands_parse():
+    # parses only; a README command that the parser rejects exits 2 here
+    commands = _readme_cli_commands()
+    assert {argv[0] for argv in commands} == {"effective-field", "simulate", "scan", "calibrate"}
+    for argv in commands:
+        args = cli.build_parser().parse_args(argv)
+        assert args.func.__name__ == "cmd_" + argv[0].replace("-", "_")

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from dressedspin import fitting
 from dressedspin.errors import FitDiverged
 from dressedspin.fitting import Lcg64, bisect_root, least_squares
 
@@ -47,7 +48,7 @@ def test_least_squares_rejects_nan_start():
         least_squares(lambda p: np.array([float("nan")]), [1.0], lambda p: np.zeros((1, 1)))
 
 
-def test_least_squares_reports_nonconvergence():
+def test_least_squares_reports_nonconvergence(monkeypatch):
     # pathological residual with no descent direction from the start
     def res(p):
         return np.array([1.0, 1.0])  # constant, gradient zero
@@ -55,9 +56,16 @@ def test_least_squares_reports_nonconvergence():
     def jac(p):
         return np.zeros((2, 1))
 
-    fit = least_squares(res, [1.0], jac, max_iter=5)
-    # constant residuals: zero step accepted immediately, converged via step_tol
+    monkeypatch.setattr(fitting, "_MAX_ITER", 5)
+    fit = least_squares(res, [1.0], jac)
+    # constant residuals: zero step accepted immediately, converged via _STEP_TOL
     assert fit.iterations <= 5
+
+    # the iteration cap is read at call time: one iteration of a fit that needs several
+    t = np.linspace(0, 1, 50)
+    monkeypatch.setattr(fitting, "_MAX_ITER", 1)
+    fit = least_squares(lambda p: np.exp(p[0] * t) - np.exp(0.7 * t), [0.0], lambda p: (t * np.exp(p[0] * t))[:, None])
+    assert fit.iterations == 1 and not fit.converged
 
 
 def test_bisect_root():

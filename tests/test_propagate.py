@@ -93,9 +93,10 @@ def test_even_harmonic_quasienergy_residual_small():
     assert rel == pytest.approx(4.15e-3, abs=1.5e-3)
 
 
-def test_period_consistency():
+def test_period_consistency(monkeypatch):
     cfg = make_config(9.0, xi=1.8, w0_khz=(0.2, 0.1, 2.040), tuning=(("y", 1.0, 2, 0.9),))
-    u_one, u_two = propagator_at(cfg, [TWO_PI, 2 * TWO_PI], steps_per_period=4096)
+    monkeypatch.setattr(propagate, "_STEPS_PER_PERIOD", 4096)
+    u_one, u_two = propagator_at(cfg, [TWO_PI, 2 * TWO_PI])
     assert np.linalg.norm(u_two - u_one @ u_one, 2) < 1e-9
 
 
@@ -169,9 +170,24 @@ def test_monodromy_no_convergence_raised(monkeypatch):
 
 
 def test_monodromy_unitarity_lost_raised(monkeypatch):
+    # the frequency settles after one doubling, but an unreachable unitarity
+    # bound keeps the step-halving going to its last refinement
+    cfg = make_config(9.0, xi=2.0, w0_khz=(0, 0, 2.040))
+    steps = []
+    integrate = propagate._integrate_targets
+
+    def counting(bundle, targets, base_step):
+        steps.append(round(TWO_PI / base_step))
+        return integrate(bundle, targets, base_step)
+
+    monkeypatch.setattr(propagate, "_integrate_targets", counting)
+    monodromy_quasienergy(cfg)
+    assert steps == [512, 1024]
+    steps.clear()
     monkeypatch.setattr(propagate, "_UNITARITY_DRIFT_LIMIT", 1e-18)
-    with pytest.raises(UnitarityLost, match="monodromy unitarity error"):
-        monodromy_quasienergy(make_config(9.0, xi=2.0, w0_khz=(0, 0, 2.040)))
+    with pytest.raises(UnitarityLost, match=r"monodromy unitarity error .* after 6 refinements \(32768 steps/period\)"):
+        monodromy_quasienergy(cfg)
+    assert steps == [512 * 2**k for k in range(7)]
 
 
 def test_propagate_argument_validation():
@@ -429,7 +445,7 @@ def _reference_quasienergy_one(cfg):
 
 
 @pytest.mark.parametrize("spin", ["half", "one"])
-def test_integrate_targets_matches_per_gap_reference(spin):
+def test_integrate_targets_matches_per_gap_reference(spin, monkeypatch):
     cfg = _shipped("odd-harmonic", spin)
     bundle = dimensionless(cfg)
     base_step = TWO_PI / 4096
@@ -437,7 +453,8 @@ def test_integrate_targets_matches_per_gap_reference(spin):
     # than one block of steps (a block boundary falls inside it), and 2 pi
     targets = [0.0, 0.0, 1e-5, 1e-5, 4.0, 4.0 + 1e-4, TWO_PI]
     assert (4.0 - 1e-5) / base_step > propagate._BLOCK_STEPS
-    got = propagator_at(cfg, targets, 4096)
+    monkeypatch.setattr(propagate, "_STEPS_PER_PERIOD", 4096)
+    got = propagator_at(cfg, targets)
     if spin == "half":
         want = _reference_su2_targets(bundle, targets, base_step)
     else:

@@ -10,7 +10,7 @@ import scipy.special
 from dressedspin import special
 from dressedspin.errors import SeriesNotConverged
 from dressedspin.fitting import bisect_root
-from dressedspin.special import DEFAULT_SERIES, SeriesControl, bessel_j, f_aux, g_func, phi
+from dressedspin.special import bessel_j, f_aux, g_func, phi
 
 from conftest import bessel_series_oracle
 
@@ -169,22 +169,24 @@ def test_g_example_against_quadrature():
     assert g.imag == pytest.approx(im, abs=1e-9)
 
 
-def test_series_control_validation():
-    with pytest.raises(ValueError):
-        SeriesControl(abs_tol=0.0)
-    with pytest.raises(ValueError):
-        SeriesControl(max_terms=4)
-    assert DEFAULT_SERIES.abs_tol == 1e-12
-    assert DEFAULT_SERIES.max_terms == 64
+def _use_rule(monkeypatch, abs_tol, max_terms):
+    """Set the series truncation rule for the rest of a test."""
+    monkeypatch.setattr(special, "_SERIES_ABS_TOL", abs_tol)
+    monkeypatch.setattr(special, "_SERIES_MAX_TERMS", max_terms)
 
 
-def test_series_not_converged():
-    # xi far beyond the term cap keeps the envelope above tolerance
-    ctl = SeriesControl(abs_tol=1e-12, max_terms=8)
-    with pytest.raises(SeriesNotConverged):
-        f_aux(1, 1.0, 40.0, ctl=ctl)
-    with pytest.raises(SeriesNotConverged):
-        g_func(1.0, 40.0, 2, 0.0, ctl)
+# The shipped truncation rule, as (abs_tol, max_terms).
+_DEFAULT_RULE = (1e-12, 64)
+
+
+def test_series_not_converged(monkeypatch):
+    # xi far beyond the term cap keeps the envelope above tolerance; the
+    # message reports the cap it used
+    _use_rule(monkeypatch, 1e-12, 8)
+    with pytest.raises(SeriesNotConverged, match="f1 series: 8 levels"):
+        f_aux(1, 1.0, 40.0)
+    with pytest.raises(SeriesNotConverged, match="g series: 8 levels"):
+        g_func(1.0, 40.0, 2, 0.0)
 
 
 # Reference copies of the per-order routines: one full downward recurrence
@@ -228,12 +230,13 @@ def _per_order_bessel_j(n, x):
     return sign * target / norm
 
 
-def _per_order_g(tau, xi, p, Phi, ctl):
+def _per_order_g(tau, xi, p, Phi, rule):
+    abs_tol, max_terms = rule
     eip = cmath.exp(1j * Phi)
     emp = eip.conjugate()
     total = 0.0 + 0.0j
     min_level = max(p, int(abs(xi)) + 1)
-    for level in range(0, ctl.max_terms + 1):
+    for level in range(0, max_terms + 1):
         jn_abs = _per_order_bessel_j(level, xi)
         envelope = 0.0
         for n in (level,) if level == 0 else (level, -level):
@@ -246,14 +249,15 @@ def _per_order_g(tau, xi, p, Phi, ctl):
                 k = n - p
                 total += 0.5 * emp * jn / (1j * k) * (cmath.exp(1j * k * tau) - 1.0)
                 envelope = max(envelope, abs(jn) / abs(k))
-        if level >= min_level and envelope < ctl.abs_tol:
+        if level >= min_level and envelope < abs_tol:
             return total
     raise SeriesNotConverged("g")
 
 
-def _per_order_f12(i, tau, xi, ctl):
+def _per_order_f12(i, tau, xi, rule):
+    abs_tol, max_terms = rule
     total = 0.0
-    for n in range(1 if i == 1 else 0, ctl.max_terms + 1):
+    for n in range(1 if i == 1 else 0, max_terms + 1):
         if i == 1:
             c = _per_order_bessel_j(2 * n, xi) / n
             total += c * math.sin(2 * n * tau)
@@ -263,7 +267,7 @@ def _per_order_f12(i, tau, xi, ctl):
             s = math.sin((n + 0.5) * tau)
             total += c * s * s
             order = 2 * n + 1
-        if order > abs(xi) and abs(c) < ctl.abs_tol:
+        if order > abs(xi) and abs(c) < abs_tol:
             return total
     raise SeriesNotConverged(f"f{i}")
 
@@ -321,27 +325,28 @@ def test_orders_past_the_miller_seed_are_negligible():
             assert abs(scipy.special.jv(order, x)) < 2e-28
 
 
-_SERIES_GRID_CTLS = (DEFAULT_SERIES, SeriesControl(max_terms=8), SeriesControl(abs_tol=1e-6, max_terms=20))
+_SERIES_GRID_RULES = (_DEFAULT_RULE, (1e-12, 8), (1e-6, 20))
 _SERIES_GRID_XI = (0.0, 1e-8, 1e-3, 0.1, 0.5, 1.0, 2.0, 2.404825557695773, 3.0, 3.83, 4.0, 5.5, 7.0,
                    10.0, 16.0, 22.5, 30.0, 40.0, 45.0, 60.0, -2.7, -9.0)
 
 
-def test_series_match_per_order_series_and_fail_on_the_same_cells():
+def test_series_match_per_order_series_and_fail_on_the_same_cells(monkeypatch):
     worst = 0.0
     raised = 0
-    for ctl in _SERIES_GRID_CTLS:
+    for rule in _SERIES_GRID_RULES:
+        _use_rule(monkeypatch, *rule)
         for xi in _SERIES_GRID_XI:
             for tau in (0.0, 0.9, 2.5, 5.0):
-                cells = [((i, tau, xi, 1, 0.0, ctl), _outcome(_per_order_f12, i, tau, xi, ctl)) for i in (1, 2)]
+                cells = [((i, tau, xi, 1, 0.0), _outcome(_per_order_f12, i, tau, xi, rule)) for i in (1, 2)]
                 for p in (1, 2, 3):
                     for Phi in (0.0, 1.2):
-                        ref = _outcome(_per_order_g, tau, xi, p, Phi, ctl)
-                        assert type(_outcome(g_func, tau, xi, p, Phi, ctl)) is type(ref)
+                        ref = _outcome(_per_order_g, tau, xi, p, Phi, rule)
+                        assert type(_outcome(g_func, tau, xi, p, Phi)) is type(ref)
                         if ref is not SeriesNotConverged:
-                            worst = max(worst, abs(g_func(tau, xi, p, Phi, ctl) - ref))
-                            cells += [((3, tau, xi, p, Phi, ctl), ref.real), ((4, tau, xi, p, Phi, ctl), ref.imag)]
+                            worst = max(worst, abs(g_func(tau, xi, p, Phi) - ref))
+                            cells += [((3, tau, xi, p, Phi), ref.real), ((4, tau, xi, p, Phi), ref.imag)]
                         else:
-                            cells += [((3, tau, xi, p, Phi, ctl), ref), ((4, tau, xi, p, Phi, ctl), ref)]
+                            cells += [((3, tau, xi, p, Phi), ref), ((4, tau, xi, p, Phi), ref)]
                 for args, ref in cells:
                     got = _outcome(f_aux, *args)
                     if ref is SeriesNotConverged:
@@ -353,6 +358,7 @@ def test_series_match_per_order_series_and_fail_on_the_same_cells():
     assert worst <= 1e-14
     assert raised > 0
     # the default cap is reached by g at xi = 40 and 60
+    monkeypatch.undo()
     for xi in (40.0, 60.0):
         with pytest.raises(SeriesNotConverged):
             g_func(1.0, xi, 2, 0.0)
@@ -461,35 +467,65 @@ def test_bessel_table_is_a_fresh_list():
         assert bessel_j(range(6), x) is not bessel_j(range(6), x)
 
 
-def test_series_not_converged_is_raised_on_every_call():
+def test_series_not_converged_is_raised_on_every_call(monkeypatch):
     # an exception is never cached: each repeat recomputes and raises again
-    tight = SeriesControl(abs_tol=1e-12, max_terms=8)
     _clear_caches()
     for _ in range(3):
-        with pytest.raises(SeriesNotConverged):
-            g_func(1.0, 40.0, 2, 0.0, tight)
+        with monkeypatch.context() as mp:
+            _use_rule(mp, 1e-12, 8)
+            with pytest.raises(SeriesNotConverged):
+                g_func(1.0, 40.0, 2, 0.0)
         with pytest.raises(SeriesNotConverged):
             g_func(1.0, math.nan, 2, 0.3)
         with pytest.raises(SeriesNotConverged):
             f_aux(4, 0.5, math.nan, 2, 0.3)
-        with pytest.raises(SeriesNotConverged):
-            f_aux(1, 1.0, 40.0, ctl=tight)
+        with monkeypatch.context() as mp:
+            _use_rule(mp, 1e-12, 8)
+            with pytest.raises(SeriesNotConverged):
+                f_aux(1, 1.0, 40.0)
     info = special._g_coefficients.cache_info()
     assert info.currsize == 0 and info.misses == 9
 
 
-def test_g_coefficients_are_keyed_on_phase_and_series_control():
-    loose = SeriesControl(abs_tol=1e-6, max_terms=20)
-    cases = [(Phi, ctl) for Phi in (0.4, 1.3, 0.4 + 2 * math.pi) for ctl in (DEFAULT_SERIES, loose)]
+def test_g_coefficients_are_keyed_on_phase_and_series_control(monkeypatch):
+    loose = (1e-6, 20)
+    cases = [(Phi, rule) for Phi in (0.4, 1.3, 0.4 + 2 * math.pi) for rule in (_DEFAULT_RULE, loose)]
+
+    def g_under(Phi, rule):
+        with monkeypatch.context() as mp:
+            _use_rule(mp, *rule)
+            return g_func(1.1, 2.3, 2, Phi)
+
     cold = {}
-    for Phi, ctl in cases:
+    for Phi, rule in cases:
         _clear_caches()
-        cold[Phi, ctl] = _bits(g_func(1.1, 2.3, 2, Phi, ctl))
+        cold[Phi, rule] = _bits(g_under(Phi, rule))
     _clear_caches()
     for _ in range(2):
-        for Phi, ctl in cases:
-            assert _bits(g_func(1.1, 2.3, 2, Phi, ctl)) == cold[Phi, ctl]
+        for Phi, rule in cases:
+            assert _bits(g_under(Phi, rule)) == cold[Phi, rule]
     assert special._g_coefficients.cache_info().currsize == len(cases)
-    assert cold[0.4, DEFAULT_SERIES] != cold[0.4, loose] and cold[0.4, DEFAULT_SERIES] != cold[1.3, DEFAULT_SERIES]
-    for Phi, ctl in cases:
-        assert abs(g_func(1.1, 2.3, 2, Phi, ctl) - _per_order_g(1.1, 2.3, 2, Phi, ctl)) <= 1e-14
+    assert cold[0.4, _DEFAULT_RULE] != cold[0.4, loose] and cold[0.4, _DEFAULT_RULE] != cold[1.3, _DEFAULT_RULE]
+    for Phi, rule in cases:
+        assert abs(g_under(Phi, rule) - _per_order_g(1.1, 2.3, 2, Phi, rule)) <= 1e-14
+
+
+def test_warm_series_follow_a_changed_truncation_rule(monkeypatch):
+    # the rule is read at call time and is part of the g memo key: a call
+    # warmed under the shipped rule, repeated under another, gives that
+    # rule's cold-cache value (and its SeriesNotConverged)
+    def evaluate():
+        return _bits(g_func(0.8, 2.3, 2, 0.4)) + _bits(f_aux(4, 0.8, 2.3, 2, 0.4)) + _bits(f_aux(1, 0.8, 2.3))
+
+    assert (special._SERIES_ABS_TOL, special._SERIES_MAX_TERMS) == _DEFAULT_RULE
+    _clear_caches()
+    shipped = evaluate()
+    g_func(1.0, 30.0, 2, 0.0)  # converges under the shipped cap of 64 levels
+    _use_rule(monkeypatch, 1e-6, 20)
+    warm = evaluate()
+    with pytest.raises(SeriesNotConverged, match="g series: 20 levels with envelope >= 1e-06"):
+        g_func(1.0, 30.0, 2, 0.0)
+    _clear_caches()
+    assert warm == evaluate() != shipped
+    monkeypatch.undo()
+    assert evaluate() == shipped
