@@ -26,7 +26,6 @@ from .effective import (
     bare_precession,
     floquet_first_order,
     larmor_frequency,
-    perturbative_eta,
     rectified_field,
 )
 from .errors import (

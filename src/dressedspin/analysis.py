@@ -126,8 +126,8 @@ class ScanSpec:
     """One swept parameter over a strictly monotone grid.
 
     swept: "xi" (dimensionless), "phi" (radians; requires exactly one tuning
-    component), or "omega0x" (rad/s).  methods is a subset of
-    {perturbative, monodromy, timeseries}.
+    component), or "omega0x" (rad/s).  methods is a nonempty subset of
+    {perturbative, monodromy, timeseries}, each named once.
     """
 
     swept: str
@@ -148,6 +148,8 @@ class ScanSpec:
         for m in self.methods:
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r}")
+        if not self.methods or len(set(self.methods)) < len(self.methods):
+            raise ValueError(f"methods must be a nonempty list without repeats, got {self.methods!r}")
         if self.swept == "phi" and len(self.base.tuning) != 1:
             raise ValueError("phi sweep requires exactly one tuning component")
         validate(self.base)

@@ -330,7 +330,3 @@ def main(argv=None) -> int:
     except DressedSpinError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -163,7 +163,8 @@ def validate(config: DriveConfiguration) -> DriveConfiguration:
             violations.append(
                 ("NegativeAmplitude", f"{where}.amplitude must be >= 0, got {comp.amplitude!r}")
             )
-        if comp.harmonic != int(comp.harmonic):
+        h = comp.harmonic
+        if not (isinstance(h, int) or math.isfinite(h) and h == int(h)):
             violations.append(
                 ("ZeroHarmonicTuning", f"{where}.harmonic must be an integer, got {comp.harmonic!r}")
             )

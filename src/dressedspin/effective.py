@@ -34,7 +34,6 @@ __all__ = [
     "larmor_frequency",
     "bare_precession",
     "floquet_first_order",
-    "perturbative_eta",
     "PAULI_X",
     "PAULI_Y",
     "PAULI_Z",
@@ -68,10 +67,6 @@ class EffectiveField:
     omega_L: float
     eta: float
 
-    @classmethod
-    def from_components(cls, hx, hy, hz, eta):
-        return cls(hx=hx, hy=hy, hz=hz, omega_L=math.sqrt(hx * hx + hy * hy + hz * hz), eta=eta)
-
 
 @dataclass(frozen=True)
 class FloquetFirstOrder:
@@ -80,27 +75,6 @@ class FloquetFirstOrder:
 
     lambda1: np.ndarray
     p1_norm_max: float
-    spin: str
-    omega: float
-
-    def omega_L_from_spectrum(self) -> float:
-        """Larmor frequency recovered from the Lambda1 spectrum (rad/s)."""
-        eig = np.linalg.eigvals(self.lambda1)
-        if self.spin == "half":
-            # Hermitian, eigenvalues +-Omega_L/(2 omega)
-            return 2.0 * self.omega * float(np.max(eig.real))
-        # real antisymmetric generator, eigenvalues {0, +-i Omega_L/omega}
-        return self.omega * float(np.max(np.abs(eig.imag)))
-
-
-def _eta(bundle) -> float:
-    """max(|omega0_j|/omega, tuning amplitudes/omega) of a dimensionless bundle."""
-    return max([abs(v) for v in bundle.w0] + [t.strength for t in bundle.tuning], default=0.0)
-
-
-def perturbative_eta(config: DriveConfiguration) -> float:
-    """max(|omega0_j|/omega, tuning amplitudes/omega) validity diagnostic."""
-    return _eta(dimensionless(config))
 
 
 def rectified_field(config: DriveConfiguration) -> EffectiveField:
@@ -130,7 +104,8 @@ def rectified_field(config: DriveConfiguration) -> EffectiveField:
             else:
                 hy -= jm * comp.amplitude * math.sin(comp.phase)
         # axis == "x": zero period average, nothing to add
-    return EffectiveField.from_components(hx, hy, hz, _eta(b))
+    eta = max([abs(v) for v in b.w0] + [t.strength for t in b.tuning], default=0.0)
+    return EffectiveField(hx=hx, hy=hy, hz=hz, omega_L=math.sqrt(hx * hx + hy * hy + hz * hz), eta=eta)
 
 
 def larmor_frequency(config: DriveConfiguration) -> float:
@@ -216,4 +191,4 @@ def floquet_first_order(config: DriveConfiguration, tau_grid=None) -> FloquetFir
     for tau in np.asarray(tau_grid, dtype=float):
         v_max = max(v_max, math.hypot(*_p1_vector(b, float(tau))))
     p1_max = 0.5 * v_max if b.spin == "half" else v_max
-    return FloquetFirstOrder(lambda1=lambda1, p1_norm_max=p1_max, spin=b.spin, omega=w)
+    return FloquetFirstOrder(lambda1=lambda1, p1_norm_max=p1_max)

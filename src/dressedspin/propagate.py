@@ -40,7 +40,7 @@ import math
 
 import numpy as np
 
-from .config import DriveConfiguration, dimensionless
+from .config import TWO_PI, DriveConfiguration, dimensionless
 from .effective import PAULI_X, PAULI_Y, PAULI_Z, _dressing_frame_field, rectified_field
 from .errors import NoConvergence, UnitarityLost
 
@@ -51,10 +51,7 @@ __all__ = [
     "propagate_bloch_spin1",
     "monodromy_quasienergy",
     "analytic_coherences",
-    "propagator_at",
 ]
-
-TWO_PI = 2.0 * math.pi
 
 # Eigenphase closer than this to a branch edge (0 or pi) cannot be told
 # apart from its alias.
@@ -86,7 +83,6 @@ class CoherenceSeries:
     sx: np.ndarray
     sy: np.ndarray
     sz: np.ndarray
-    source: str  # "analytic" | "numeric"
     degenerate_field: bool = False
 
 
@@ -167,22 +163,6 @@ def _integrate_targets(bundle, targets, base_step):
     return np.moveaxis(_mul(rot, out), -1, 0)
 
 
-def propagator_at(config: DriveConfiguration, tau_points):
-    """Propagator of the full drive at the given ascending tau points.
-
-    Spin model chosen by config.spin: the 2x2 U for spin half, its 3x3
-    rotation image for spin one.  One integration at _STEPS_PER_PERIOD steps
-    per period; utility for consistency checks.  The high-level entry points
-    below add step-halving convergence control.
-    """
-    bundle = dimensionless(config)
-    pts = [float(t) for t in tau_points]
-    if any(b < a for a, b in zip(pts, pts[1:])) or (pts and pts[0] < 0.0):
-        raise ValueError("tau_points must be ascending and >= 0")
-    mats = _integrate_targets(bundle, pts, TWO_PI / _STEPS_PER_PERIOD)
-    return list(mats) if bundle.spin == "half" else [_rotation(u) for u in mats]
-
-
 def _refine(run, scale, drift_limit, name):
     """The step-halving loop of every result of this module.
 
@@ -214,9 +194,9 @@ def _refine(run, scale, drift_limit, name):
 
 
 def _sample_times(t_end, samples):
-    """samples evenly spaced times from 0 to t_end (t_end > 0, samples >= 2)."""
-    if not t_end > 0.0:
-        raise ValueError("t_end must be > 0")
+    """samples evenly spaced times from 0 to t_end (0 < t_end < inf, samples >= 2)."""
+    if not 0.0 < t_end < math.inf:
+        raise ValueError("t_end must be finite and > 0")
     if samples < 2:
         raise ValueError("samples must be >= 2")
     return np.linspace(0.0, t_end, samples)
@@ -303,7 +283,7 @@ def propagate_spin_half(
         if abs(np.linalg.norm(psi0) - 1.0) > 1e-9:
             raise ValueError("initial state must be a unit vector")
     times, sx, sy, sz = _propagate(config, t_end, samples, psi0)
-    return CoherenceSeries(times=times, sx=sx, sy=sy, sz=sz, source="numeric")
+    return CoherenceSeries(times=times, sx=sx, sy=sy, sz=sz)
 
 
 def propagate_bloch_spin1(
@@ -331,7 +311,7 @@ def propagate_bloch_spin1(
         raise ValueError("initial magnetisation must be nonzero")
     psi0 = math.sqrt(m_norm) * np.linalg.eigh(np.tensordot(m0, _PAULI, 1))[1][:, 1]
     times, mx, my, mz = _propagate(config, t_end, samples, psi0, m_norm)
-    return CoherenceSeries(times=times, sx=mx, sy=my, sz=mz, source="numeric")
+    return CoherenceSeries(times=times, sx=mx, sy=my, sz=mz)
 
 
 def monodromy_quasienergy(config: DriveConfiguration) -> QuasiEnergy:
@@ -365,7 +345,7 @@ def monodromy_quasienergy(config: DriveConfiguration) -> QuasiEnergy:
     return _refine(run, lambda om: omega, _UNITARITY_DRIFT_LIMIT, "monodromy")
 
 
-def quasienergy_candidates(x: float, omega: float, spin: str = "half"):
+def quasienergy_candidates(x: float, omega: float, spin: str):
     """All frequencies consistent with the measured eigenphase (aliasing).
 
     For spin half the pair {+-theta} fixes the monodromy value x only up
@@ -403,9 +383,7 @@ def analytic_coherences(
     if field.omega_L == 0.0:
         ones = np.ones_like(times)
         zeros = np.zeros_like(times)
-        return CoherenceSeries(
-            times=times, sx=ones, sy=zeros, sz=zeros, source="analytic", degenerate_field=True
-        )
+        return CoherenceSeries(times=times, sx=ones, sy=zeros, sz=zeros, degenerate_field=True)
     ux = field.hx / field.omega_L
     uy = field.hy / field.omega_L
     uz = field.hz / field.omega_L
@@ -416,4 +394,4 @@ def analytic_coherences(
     sx = (1.0 - ux * ux) * cl + ux * ux
     sy = (uy * sphi + uz * cphi) * sl + ux * (uy * cphi - uz * sphi) * one_m_cl
     sz = (uz * sphi - uy * cphi) * sl + ux * (uz * cphi + uy * sphi) * one_m_cl
-    return CoherenceSeries(times=times, sx=sx, sy=sy, sz=sz, source="analytic")
+    return CoherenceSeries(times=times, sx=sx, sy=sy, sz=sz)

@@ -30,7 +30,7 @@ from conftest import KHZ, lab_frame, make_config
 
 def _series(t_end, samples, f):
     t = np.linspace(0.0, t_end, samples)
-    return CoherenceSeries(times=t, sx=f(t), sy=np.zeros_like(t), sz=np.zeros_like(t), source="analytic")
+    return CoherenceSeries(times=t, sx=f(t), sy=np.zeros_like(t), sz=np.zeros_like(t))
 
 
 def test_extract_synthetic_cosine():
@@ -66,7 +66,7 @@ def test_extract_precondition_errors():
         extract_frequency(_series(0.05, 15, lambda t: np.cos(omega * t)))
     # non-uniform sampling
     t = np.concatenate([np.linspace(0, 0.02, 512), np.linspace(0.021, 0.05, 512)])
-    bad = CoherenceSeries(times=t, sx=np.cos(omega * t), sy=0 * t, sz=0 * t, source="analytic")
+    bad = CoherenceSeries(times=t, sx=np.cos(omega * t), sy=0 * t, sz=0 * t)
     with pytest.raises(ValueError):
         extract_frequency(bad)
 
@@ -91,6 +91,9 @@ def test_scan_spec_validation():
         ScanSpec(swept="xi", grid=(1.0, 0.5, 2.0), base=base)
     with pytest.raises(ValueError):
         ScanSpec(swept="phi", grid=(0.0, 1.0), base=make_config(9.0, xi=1.0))
+    for methods in ((), ("perturbative", "perturbative")):
+        with pytest.raises(ValueError, match="nonempty list without repeats"):
+            ScanSpec(swept="xi", grid=(1.0,), base=base, methods=methods)
 
 
 def test_scan_perturbative_pure_function():

@@ -155,6 +155,17 @@ def test_usage_errors_exit_2_without_traceback(tmp_path, capsys, monkeypatch, ar
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("methods", ["", " , ", "perturbative,perturbative", "monodromy,perturbative,monodromy"])
+def test_scan_rejects_empty_or_repeated_methods_before_writing(tmp_path, capsys, methods):
+    cfg = _write(tmp_path, "even.cfg", EVEN_HARMONIC_CFG)
+    out_csv = tmp_path / "scan.csv"
+    argv = ["scan", cfg, "--sweep", "xi", "--from", "1", "--to", "2", "--points", "3",
+            "--methods", methods, "--out", str(out_csv)]
+    assert main(argv) == 2
+    assert "error: <args>: methods must be a nonempty list without repeats" in capsys.readouterr().err
+    assert not out_csv.exists()
+
+
 def test_simulate_numeric_failure_exits_3(tmp_path, capsys, monkeypatch):
     def fail(*args, **kwargs):
         raise NoConvergence("forced")

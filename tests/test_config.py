@@ -60,6 +60,22 @@ def test_validate_reports_every_violation():
         assert expected in codes
 
 
+@pytest.mark.parametrize("harmonic", [float("nan"), float("inf")])
+def test_validate_lists_a_non_finite_harmonic_with_the_other_violations(harmonic):
+    cfg = DriveConfiguration(
+        static=StaticField(),
+        dressing=DressingField(omega_d=1.0, omega=-5.0),
+        tuning=(TuningComponent(axis="y", amplitude=1.0, harmonic=harmonic),),
+    )
+    with pytest.raises(ConfigurationError) as err:
+        validate(cfg)
+    assert err.value.codes() == ("NonPositiveDressingFrequency", "ZeroHarmonicTuning")
+    assert f"tuning.0.harmonic must be an integer, got {harmonic!r}" in str(err.value)
+    # an integer too large for a float is still an integer
+    huge = TuningComponent(axis="y", amplitude=1.0, harmonic=10**400)
+    assert validate(cfg.replace(dressing=DressingField(omega_d=1.0, omega=5.0), tuning=(huge,))).tuning == (huge,)
+
+
 def test_validate_idempotent():
     cfg = make_config(9.0, xi=1.8, w0_khz=(0.0, 0.0, 2.040), tuning=(("y", 4.97, 1, math.pi / 2),))
     assert validate(validate(cfg)) is cfg

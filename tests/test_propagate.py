@@ -18,7 +18,6 @@ from dressedspin.propagate import (
     monodromy_quasienergy,
     propagate_bloch_spin1,
     propagate_spin_half,
-    propagator_at,
     quasienergy_candidates,
 )
 
@@ -93,10 +92,9 @@ def test_even_harmonic_quasienergy_residual_small():
     assert rel == pytest.approx(4.15e-3, abs=1.5e-3)
 
 
-def test_period_consistency(monkeypatch):
+def test_period_consistency():
     cfg = make_config(9.0, xi=1.8, w0_khz=(0.2, 0.1, 2.040), tuning=(("y", 1.0, 2, 0.9),))
-    monkeypatch.setattr(propagate, "_STEPS_PER_PERIOD", 4096)
-    u_one, u_two = propagator_at(cfg, [TWO_PI, 2 * TWO_PI])
+    u_one, u_two = propagate._integrate_targets(dimensionless(cfg), [TWO_PI, 2 * TWO_PI], TWO_PI / 4096)
     assert np.linalg.norm(u_two - u_one @ u_one, 2) < 1e-9
 
 
@@ -105,8 +103,11 @@ def test_pure_dressing_is_the_frame_rotation():
     # the propagator is exp(-i xi sin(tau) sigma_x/2) alone: exactly the
     # identity at whole periods
     cfg = make_config(9.0, xi=2.4)
-    xi = dimensionless(cfg).xi
-    u1, u2, u3 = propagator_at(cfg, [1.0, TWO_PI, 2 * TWO_PI])
+    bundle = dimensionless(cfg)
+    xi = bundle.xi
+    u1, u2, u3 = propagate._integrate_targets(
+        bundle, [1.0, TWO_PI, 2 * TWO_PI], TWO_PI / propagate._STEPS_PER_PERIOD
+    )
     assert np.max(np.abs(u1 - expm(-0.5j * xi * math.sin(1.0) * PAULI_X))) <= 1e-15
     assert np.array_equal(u2, np.eye(2))
     assert np.array_equal(u3, np.eye(2))
@@ -198,6 +199,13 @@ def test_propagate_argument_validation():
         propagate_spin_half(cfg, 1e-3, 1)
     with pytest.raises(ValueError):
         propagate_spin_half(cfg, 1e-3, 100, initial=[1.0, 1.0])  # not normalised
+
+
+@pytest.mark.parametrize("t_end", [math.inf, math.nan, 0.0])
+@pytest.mark.parametrize("series", [analytic_coherences, propagate_spin_half])
+def test_series_require_a_finite_positive_t_end(series, t_end):
+    with pytest.raises(ValueError, match="t_end must be finite and > 0"):
+        series(make_config(10.0, w0_khz=(0, 0, 2.0)), t_end, 4)
 
 
 def test_bloch_requires_spin_one():
@@ -445,7 +453,7 @@ def _reference_quasienergy_one(cfg):
 
 
 @pytest.mark.parametrize("spin", ["half", "one"])
-def test_integrate_targets_matches_per_gap_reference(spin, monkeypatch):
+def test_integrate_targets_matches_per_gap_reference(spin):
     cfg = _shipped("odd-harmonic", spin)
     bundle = dimensionless(cfg)
     base_step = TWO_PI / 4096
@@ -453,11 +461,11 @@ def test_integrate_targets_matches_per_gap_reference(spin, monkeypatch):
     # than one block of steps (a block boundary falls inside it), and 2 pi
     targets = [0.0, 0.0, 1e-5, 1e-5, 4.0, 4.0 + 1e-4, TWO_PI]
     assert (4.0 - 1e-5) / base_step > propagate._BLOCK_STEPS
-    monkeypatch.setattr(propagate, "_STEPS_PER_PERIOD", 4096)
-    got = propagator_at(cfg, targets)
+    got = propagate._integrate_targets(bundle, targets, base_step)
     if spin == "half":
         want = _reference_su2_targets(bundle, targets, base_step)
     else:
+        got = [propagate._rotation(u) for u in got]
         want = _reference_integrate_targets(partial(_bloch_generator_stack, bundle), targets, base_step)
     assert len(got) == len(want)
     for a, b in zip(got, want):

@@ -286,11 +286,24 @@ def test_scalar_bessel_bit_identical_to_per_order_recurrence():
 
 
 def test_bessel_table_against_scipy():
-    # 130 orders is every order a series can request (f2 at the default cap)
+    # the stated range: |x| <= 130 for n < 200 (a series requests at most 130
+    # orders), with x = 0 and the small-argument branch below 1e-7, where k!
+    # of orders past 170 does not fit a float
+    tiny = [0.0, -0.0, 1e-300, -1e-300, 5e-8, -5e-8, 9.99e-8, -9.99e-8, 1e-7, -1e-7]
     worst = 0.0
-    for x in np.linspace(-50.0, 50.0, 401):
-        table = np.array(bessel_j(range(130), float(x)))
-        worst = max(worst, float(np.max(np.abs(table - scipy.special.jv(np.arange(130), x)))))
+    for x in [float(v) for v in np.linspace(-130.0, 130.0, 1041)] + tiny:
+        table = np.array(bessel_j(range(200), x))
+        worst = max(worst, float(np.max(np.abs(table - scipy.special.jv(np.arange(200), x)))))
+    assert worst < 1e-12
+    assert bessel_j(171, 0.0) == 0.0 and bessel_j(199, -5e-8) == 0.0
+
+
+def test_low_orders_against_scipy_at_large_argument():
+    # and |x| in (130, 1e4] for n < 8
+    worst = 0.0
+    for x in np.concatenate((np.geomspace(130.5, 1e4, 60), -np.geomspace(131.0, 1e4, 20))):
+        table = np.array(bessel_j(range(8), float(x)))
+        worst = max(worst, float(np.max(np.abs(table - scipy.special.jv(np.arange(8), x)))))
     assert worst < 1e-12
 
 
