@@ -5,34 +5,32 @@ dressing rotation phi(tau) = xi sin(tau): with U(tau) the lab propagator,
 U~(tau) = exp(+i phi sigma_x/2) U(tau) obeys dU~/dtau = -i b~(tau).sigma/2,
 where b~ is the lab field without the strong xi cos(tau) term, rotated about
 x by phi (effective._dressing_frame_field).  The frame change is exact, and
-RK4 no longer has to resolve the dressing term.  Each result is rotated back
-to the lab frame in closed form, U = (cos(phi/2) - i sin(phi/2) sigma_x) U~;
-at whole periods the rotation is the identity, so the monodromy is U~(2 pi).
+the integrator no longer has to resolve the dressing term.  Each result is
+rotated back to the lab frame in closed form,
+U = (cos(phi/2) - i sin(phi/2) sigma_x) U~; at whole periods the rotation is
+the identity, so the monodromy is U~(2 pi).
 
-The transformed dynamics are integrated with a classical fixed-step RK4
-scheme under global step-halving control, one loop (``_refine``) for every
-result: starting from ``_STEPS_PER_PERIOD`` steps per drive period, the whole
-calculation is repeated with doubled step count, at most
-``_MAX_REFINEMENTS`` times, until the result moves by at most ``_REL_TOL``
-of its scale with its norm drift in bounds.  The settings are private
-module constants, read at call time.
-No renormalisation is applied during integration -- norm drift is the error
-diagnostic, not something to hide.  Step sizes and node times of a whole
-integration are laid out up front.  The ODE is linear, so one RK4 step is
-U <- S_j U with a step matrix S_j built from the generator A(tau) at the
-step's nodes.  Per block of at most 2048 steps the S_j are built at once and
-combined in an inclusive prefix product of log2(2048) = 11 rounds (Hillis &
-Steele 1986), so there is no per-step Python loop, and memory stays flat
-however many steps an integration takes.
+Every result comes from one integrator, the sixth-order Magnus step on the
+three Gauss nodes (Blanes, Casas & Ros, BIT 40, 434 (2000)).  With
+A(a) = -i a.sigma/2, [A(a), A(b)] = A(a x b), so the Magnus exponent is a
+cross-product formula and its exponential is closed form, unitary to
+rounding.  One period is a uniform grid of N steps, combined in a prefix
+product of log2(N) rounds (Hillis & Steele 1986); each sample phase is
+reached by one batched partial step from the grid node below it.  N starts
+at ``_STEPS_PER_PERIOD`` and doubles at most ``_MAX_REFINEMENTS`` times
+(``_refine``, the one step-halving loop) until the result moves by at most
+``_REL_TOL`` of its scale with its norm drift in bounds; every doubling
+changes every step.  No renormalisation is applied -- norm drift is the
+error diagnostic, not something to hide.
 
 Only the spin-half (SU(2)) propagator U is integrated.  The spin-one
 dynamics dM/dt = B x M is its rotation image R_ij = tr(sigma_i U sigma_j
 U^dagger)/2, so every spin-one result is derived from U.
 
 All drive terms share the dressing period, so the propagator over one period
-(the monodromy matrix) determines the evolution at any later time exactly:
+(the monodromy matrix M) determines the evolution at any later time exactly:
 U(k*T + s) = U(s) * M^k.  Long coherence series therefore cost one period of
-integration regardless of duration.
+integration regardless of duration, plus about log2(k) binary powers of M.
 """
 
 from dataclasses import dataclass
@@ -59,7 +57,7 @@ _ALIAS_TOL = 1e-3
 
 # Step-halving: starting steps per drive period, relative tolerance between
 # successive refinements, and the most step doublings tried.
-_STEPS_PER_PERIOD = 512
+_STEPS_PER_PERIOD = 128
 _REL_TOL = 1e-10
 _MAX_REFINEMENTS = 6
 
@@ -69,8 +67,8 @@ _UNITARITY_DRIFT_LIMIT = 1e-6
 # Spin-1 propagation is norm-conserving physics; drift beyond this is a bug.
 _BLOCH_NORM_TOL = 1e-9
 
-# Steps per block of step matrices (see the module docstring).
-_BLOCK_STEPS = 2048
+# Gauss-Legendre nodes of the Magnus step, as fractions of the step.
+_GAUSS_NODES = np.array([0.5 - math.sqrt(15.0) / 10.0, 0.5, 0.5 + math.sqrt(15.0) / 10.0])
 
 _PAULI = np.stack((PAULI_X, PAULI_Y, PAULI_Z))
 
@@ -100,11 +98,6 @@ class QuasiEnergy:
     monodromy_unitarity_error: float
 
 
-def _generator_stack(bundle, taus):
-    """Dressing-frame generator -i b~(tau).sigma/2 as a (2, 2, len(taus)) stack."""
-    return np.tensordot(-0.5j * _PAULI, _dressing_frame_field(bundle, taus), axes=(0, 0))
-
-
 def _mul(a, b):
     """Matrix products a[:, :, j] @ b[:, :, j] of (2, 2, n) stacks (n may broadcast)."""
     return (a[:, :, None] * b[None]).sum(axis=1)
@@ -115,50 +108,58 @@ def _rotation(u):
     return 0.5 * np.einsum("iab,jba->ij", _PAULI, u @ _PAULI @ u.conj().T).real
 
 
-def _integrate_targets(bundle, targets, base_step):
-    """RK4-propagate dU~/dtau = A(tau) U~ from tau = 0 through ascending targets.
+def _cross(a, b):
+    """Cross products of (3, n) stacks: the commutator of su(2) in R^3."""
+    return np.array([a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]])
 
-    Within each gap the step divides the gap evenly and never exceeds
-    base_step, so every target is hit exactly.  Returns the lab-frame
-    propagators U at the targets as a (len(targets), 2, 2) array.
+
+def _magnus_steps(bundle, t0, h):
+    """Sixth-order Magnus steps of dU~/dtau = -i b~.sigma/2 from each t0 over h.
+
+    t0 has shape (n,), h is a scalar or of shape (n,); returns the step
+    propagators exp(-i v.sigma/2) as a (2, 2, n) stack.
+    """
+    nodes = (t0 + _GAUSS_NODES[:, None] * h).ravel()
+    b1, b2, b3 = _dressing_frame_field(bundle, nodes).reshape(3, 3, -1).swapaxes(0, 1)
+    a1 = h * b2
+    a2 = (math.sqrt(15.0) / 3.0) * h * (b3 - b1)
+    a3 = (10.0 / 3.0) * h * (b3 - 2.0 * b2 + b1)
+    c1 = _cross(a1, a2)
+    c2 = _cross(a1, 2.0 * a3 + c1) / -60.0
+    v = a1 + a3 / 12.0 + _cross(-20.0 * a1 - a3 + c1, a2 + c2) / 240.0
+    # exp(-i v.sigma/2) = cos(|v|/2) - i sin(|v|/2) v.sigma/|v|; sinc guards |v| = 0
+    half = 0.5 * np.sqrt(np.sum(v * v, axis=0))
+    x, y, z = (0.5 * np.sinc(half / math.pi)) * v
+    c = np.cos(half)
+    return np.array([[c - 1j * z, -y - 1j * x], [y - 1j * x, c + 1j * z]])
+
+
+def _integrate_targets(bundle, targets, steps):
+    """Propagate dU~/dtau from tau = 0 to each target in [0, 2 pi] (up to rounding).
+
+    Magnus steps on a uniform grid of `steps` per period, combined in a
+    prefix product, then one partial step from the grid node below each
+    target.  Returns the lab-frame propagators U at the targets as a
+    (len(targets), 2, 2) array.
     """
     targets = np.asarray(targets, dtype=float)
-    prevs = np.concatenate(([0.0], targets))[:-1]
-    gaps = targets - prevs
-    ms = np.where(gaps > 0.0, np.maximum(1, np.ceil(gaps / base_step - 1e-12)), 0).astype(np.int64)
-    h_gap = gaps / np.maximum(ms, 1)
-    # node time of every step, gap by gap: prev + hs * (step index in its gap)
-    local = np.arange(int(ms.sum())) - np.repeat(np.cumsum(ms) - ms, ms)
-    h_step = np.repeat(h_gap, ms)
-    t0 = np.repeat(prevs, ms) + h_step * local
-    last = np.cumsum(ms) - 1  # each target's last step; -1 before the first step
-
-    eye = np.eye(2)[:, :, None]
-    out = np.empty((2, 2, targets.size), dtype=complex)
-    out[:, :, last < 0] = eye
-    U = eye
-    for g in range(0, t0.size, _BLOCK_STEPS):
-        t, h = t0[g : g + _BLOCK_STEPS], h_step[g : g + _BLOCK_STEPS]
-        a0 = _generator_stack(bundle, t)
-        ah = _generator_stack(bundle, t + 0.5 * h)
-        a1 = _generator_stack(bundle, t + h)
-        # RK4 step U <- S U of this linear ODE, one step matrix S per step
-        k2 = _mul(ah, eye + (0.5 * h) * a0)
-        k3 = _mul(ah, eye + (0.5 * h) * k2)
-        k4 = _mul(a1, eye + h * k3)
-        s = eye + (h / 6.0) * (a0 + 2.0 * k2 + 2.0 * k3 + k4)
-        s[:, :, :1] = _mul(s[:, :, :1], U)
-        # inclusive prefix product, later steps on the left, in log2(len(h)) rounds
-        d = 1
-        while d < h.size:
-            s[:, :, d:] = _mul(s[:, :, d:], s[:, :, :-d])
-            d *= 2
-        hit = (last >= g) & (last < g + h.size)
-        out[:, :, hit] = s[:, :, last[hit] - g]
-        U = s[:, :, -1:]
+    h = TWO_PI / steps
+    grid = np.empty((2, 2, steps + 1), dtype=complex)
+    grid[:, :, 0] = np.eye(2)
+    grid[:, :, 1:] = _magnus_steps(bundle, h * np.arange(steps), h)
+    # inclusive prefix product, later steps on the left, in log2(steps) rounds
+    d = 1
+    while d < steps:
+        grid[:, :, d + 1 :] = _mul(grid[:, :, d + 1 :], grid[:, :, 1 : steps + 1 - d])
+        d *= 2
+    # the node below each target; the clip keeps a rounding of -1e-14 at
+    # tau = 0 from reading node -1, the whole-period propagator
+    node = np.clip(np.floor(targets / h), 0, steps).astype(np.int64)
+    out = _mul(_magnus_steps(bundle, h * node, targets - h * node), grid[:, :, node])
     # back to the lab frame; tau mod 2 pi makes the rotation exactly the
     # identity at whole periods instead of carrying the rounding of sin(2 pi)
     half = 0.5 * bundle.xi * np.sin(np.mod(targets, TWO_PI))
+    eye = np.eye(2)[:, :, None]
     rot = np.cos(half) * eye - 1j * np.sin(half) * PAULI_X[:, :, None]
     return np.moveaxis(_mul(rot, out), -1, 0)
 
@@ -204,31 +205,23 @@ def _sample_times(t_end, samples):
 
 def _sampled_series(bundle, taus, psi0, steps):
     """Evaluate the state at each tau via the one-period factorisation."""
+    # s may round to just below 0 or just past 2 pi; the partial Magnus step
+    # from the nearest grid node covers either
     ks = np.floor(taus / TWO_PI).astype(np.int64)
     ss = taus - TWO_PI * ks
-    # guard against s == 2*pi from floating roundoff
-    wrap = ss >= TWO_PI
-    ks[wrap] += 1
-    ss[wrap] -= TWO_PI
-
     unique_s, s_idx = np.unique(ss, return_inverse=True)
-    targets = list(unique_s)
-    if not targets or targets[-1] < TWO_PI:
-        targets.append(TWO_PI)
-    mats = _integrate_targets(bundle, targets, TWO_PI / steps)
-    monodromy = mats[-1]
+    mats = _integrate_targets(bundle, np.append(unique_s, TWO_PI), steps)
 
-    # M^k psi0 once per period index k, then every state in one stacked matmul
+    # M^k psi0 for every period index k from binary powers of M (powers of
+    # M commute, so the bits of k may be applied in any order)
     unique_k, k_idx = np.unique(ks, return_inverse=True)
-    power = np.eye(2, dtype=complex)
-    k_cur = 0
-    mk_psi0 = []
-    for k in unique_k.tolist():
-        while k_cur < k:
-            power = monodromy @ power
-            k_cur += 1
-        mk_psi0.append(power @ psi0)
-    return np.matmul(mats[s_idx], np.stack(mk_psi0)[k_idx][:, :, None])[:, :, 0]
+    mk_psi0 = np.tile(np.asarray(psi0, dtype=complex), (unique_k.size, 1))
+    power = mats[-1]
+    for bit in range(int(unique_k[-1]).bit_length()):
+        on = (unique_k >> bit) & 1 == 1
+        mk_psi0[on] = mk_psi0[on] @ power.T
+        power = power @ power
+    return np.einsum("nij,nj->ni", mats[s_idx], mk_psi0[k_idx])
 
 
 def _coherences_from_states(states):
@@ -328,7 +321,7 @@ def monodromy_quasienergy(config: DriveConfiguration) -> QuasiEnergy:
     omega = config.dressing.omega
 
     def run(steps):
-        u = _integrate_targets(bundle, [TWO_PI], TWO_PI / steps)[0]
+        u = _integrate_targets(bundle, [TWO_PI], steps)[0]
         mono = u if bundle.spin == "half" else _rotation(u)
         gram = mono.conj().T @ mono
         unit_err = float(np.linalg.norm(gram - np.eye(gram.shape[0]), 2))

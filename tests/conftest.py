@@ -42,8 +42,7 @@ def lab_bundle(bundle):
 
     propagate integrates in the frame that follows the dressing rotation; for
     this bundle that frame is the lab frame and the rotation back is the
-    identity, so the package's own integrator runs the lab-frame ODE: the
-    route it took before it moved to the dressing frame.
+    identity, so the package's own integrator runs the lab-frame ODE.
     """
     return replace(bundle, xi=0.0, tuning=bundle.tuning + (TuningTerm("x", bundle.xi, 1, 0.0),))
 

@@ -1,5 +1,6 @@
 from dataclasses import replace
 import math
+import pathlib
 import statistics
 
 from hypothesis import example, given, settings, strategies as st
@@ -19,6 +20,8 @@ from dressedspin.analysis import (
     run_scan,
     synthetic_calibration_data,
 )
+from dressedspin.config import validate
+from dressedspin.configfile import load_config
 from dressedspin.effective import larmor_frequency
 from dressedspin.errors import DegenerateData, FitDiverged, NoOscillation
 from dressedspin.fitting import bisect_root
@@ -26,6 +29,8 @@ from dressedspin.propagate import CoherenceSeries, monodromy_quasienergy, propag
 from dressedspin.special import bessel_j
 
 from conftest import KHZ, lab_frame, make_config
+
+CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
 
 def _series(t_end, samples, f):
@@ -198,10 +203,24 @@ def test_scan_timeseries_window_sized_from_monodromy():
         assert row.timeseries == pytest.approx(row.monodromy, rel=2e-3)
 
 
+def test_readme_xi_grid_row_below_the_window_floor_converges():
+    # Row 76 of the README odd-harmonic xi scan with all three methods
+    # (0.6 to 5, 120 points).  Omega_L is 0.0086 kHz, below the 1e-3 omega
+    # floor, so the window is 8 periods of 0.009 kHz: about 8,000 drive
+    # periods.  RK4 on a per-gap step layout never settled there
+    # (timeseries:NoConvergence, last change 4.7e-10 at 32,768 steps/period);
+    # the Magnus grid settles and lands 1.2e-4 from the monodromy value.
+    config = validate(load_config(CONFIGS / "odd-harmonic.cfg"))
+    spec = ScanSpec(swept="xi", grid=(0.6 + 76 * ((5.0 - 0.6) / 119),), base=config,
+                    methods=("perturbative", "monodromy", "timeseries"))
+    (row,) = run_scan(spec).rows
+    assert row.errors == ()
+    assert row.timeseries == pytest.approx(row.monodromy, rel=2e-3)
+
+
 def test_xi_scan_within_stated_bounds_of_lab_route():
     # The README odd-harmonic xi range, 24 points, all three methods, against
-    # the lab-frame route (what the package computed before it integrated in
-    # the dressing frame; seen: monodromy 5.6e-12 and time series 1.1e-11 of
+    # the lab-frame route (seen: monodromy 3.9e-13 and time series 1.2e-14 of
     # omega apart with windows sized alike).  Closed-form cells are identical.
     # Every row has a time-series value, within 2e-3 of monodromy, or 5e-2
     # where monodromy is more than 10 % off first order.
