@@ -18,12 +18,7 @@ from .config import DriveConfiguration, validate
 from .effective import bare_precession, floquet_first_order, rectified_field
 from .errors import DegenerateData, DressedSpinError, FitDiverged, NoOscillation
 from .fitting import Lcg64, least_squares
-from .propagate import (
-    CoherenceSeries,
-    monodromy_quasienergy,
-    propagate_spin_half,
-    quasienergy_candidates,
-)
+from .propagate import CoherenceSeries, monodromy_quasienergy, propagate_spin_half
 from .special import bessel_j
 
 __all__ = [
@@ -204,7 +199,7 @@ def _scan_point(spec: ScanSpec, value: float):
         config = spec.config_at(value)
         validate(config)
     except (DressedSpinError, ValueError) as exc:
-        return ScanRow(value=value, errors=(f"config:{type(exc).__name__}",) + tuple(errors))
+        return ScanRow(value=value, errors=(f"config:{type(exc).__name__}",))
 
     pert = None
     try:
@@ -218,15 +213,13 @@ def _scan_point(spec: ScanSpec, value: float):
         row["perturbative"] = pert
 
     # the time-series window is sized from the monodromy value where there is
-    # one: its alias candidate nearest the first-order value, else first order
+    # one, else from first order
     window_ref = pert if pert else 0.0
     if "monodromy" in spec.methods:
         try:
             qe = monodromy_quasienergy(config)
-            row["monodromy"] = qe.omega_L_numeric
+            row["monodromy"] = window_ref = qe.omega_L_numeric
             row["alias_ambiguous"] = qe.alias_ambiguous
-            cands = quasienergy_candidates(qe.omega_L_numeric, config.dressing.omega, config.spin)
-            window_ref = min(cands, key=lambda c: abs(c - window_ref))
         except DressedSpinError as exc:
             errors.append(f"monodromy:{type(exc).__name__}")
 
@@ -239,38 +232,14 @@ def _scan_point(spec: ScanSpec, value: float):
     return ScanRow(errors=tuple(errors), **row)
 
 
-def _apply_branch_continuity(rows, omega, spin):
-    """Resolve monodromy aliasing by continuity along the grid.
-
-    The eigenphase fixes Omega_L only modulo the drive frequency and up to
-    sign; walk the grid and replace each raw value by the alias candidate
-    closest to a prediction: the linear extrapolation of the last two
-    resolved rows, or the first row's raw value while only it is resolved.
-    Staying near the previous row instead would fold a curve back at a
-    reflection edge (k*step/2), where the mirrored candidate is nearest.
-    """
-    resolved = []  # (value, Omega_L) of the last two resolved rows
-    out = []
-    for row in rows:
-        if row.monodromy is not None:
-            if resolved:
-                pred = resolved[-1][1]
-                if len(resolved) == 2:
-                    (x0, y0), (x1, y1) = resolved
-                    pred += (y1 - y0) * (row.value - x1) / (x1 - x0)
-                cands = quasienergy_candidates(row.monodromy, omega, spin)
-                row = replace(row, monodromy=min(cands, key=lambda c: abs(c - pred)))
-            resolved = resolved[-1:] + [(row.value, row.monodromy)]
-        out.append(row)
-    return out
-
-
 def run_scan(spec: ScanSpec, jobs: int = 1) -> ScanResult:
     """Evaluate every grid point by every requested method.
 
     Per-point failures are recorded as error tokens in the row and the scan
-    continues.  Rows come back in grid order regardless of jobs; with
-    methods={perturbative} the result is a pure function of the spec.
+    continues.  Every row is a pure function of (spec, value), so rows come
+    back alike in grid order regardless of jobs; the monodromy column is the
+    per-point Floquet-mode value of monodromy_quasienergy, not a value
+    unfolded along the grid.
     """
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -279,8 +248,6 @@ def run_scan(spec: ScanSpec, jobs: int = 1) -> ScanResult:
             rows = list(pool.map(_scan_point, [spec] * len(spec.grid), spec.grid))
     else:
         rows = [_scan_point(spec, v) for v in spec.grid]
-    if "monodromy" in spec.methods:
-        rows = _apply_branch_continuity(rows, spec.base.dressing.omega, spec.base.spin)
     return ScanResult(spec=spec, rows=tuple(rows))
 
 

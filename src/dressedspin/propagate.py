@@ -86,11 +86,19 @@ class CoherenceSeries:
 
 @dataclass(frozen=True)
 class QuasiEnergy:
-    """Larmor frequency from the one-period monodromy eigenphases.
+    """Larmor frequency from the one-period monodromy and its Floquet modes.
 
-    The eigenphase determines the frequency only modulo the drive frequency
-    and up to sign; alias_ambiguous marks eigenphases within 1e-3 of a
-    branch edge, where the candidates merge.
+    The monodromy eigenphases fix the frequency only modulo 2 omega and up
+    to sign.  omega_L_numeric is |eps_1 - eps_2| omega, with each quasienergy
+    eps_a taken where the strongest Fourier harmonic of its dressing-frame
+    Floquet mode is the zeroth: a function of the configuration alone, the
+    same for both spins, and exactly |B| in a static field B.  It need not
+    be the strongest line of sx: at static z = 2.7 omega the collapse config
+    gives 1.246 omega against an sx line at 3.246 omega, and even-harmonic at
+    5 omega gives 3.693 against 5.693 omega; Shirley's Floquet matrix (Phys.
+    Rev. 138, B979 (1965)) agrees with omega_L_numeric in both.
+    alias_ambiguous marks eigenphases within 1e-3 of a branch edge (0 or pi),
+    where the folded values of neighbouring branches merge.
     """
 
     omega_L_numeric: float
@@ -134,24 +142,34 @@ def _magnus_steps(bundle, t0, h):
     return np.array([[c - 1j * z, -y - 1j * x], [y - 1j * x, c + 1j * z]])
 
 
-def _integrate_targets(bundle, targets, steps):
-    """Propagate dU~/dtau from tau = 0 to each target in [0, 2 pi] (up to rounding).
+def _grid(bundle, steps):
+    """Dressing-frame propagators U~(2 pi j/steps), j = 0..steps, as a (2, 2, steps + 1) stack.
 
-    Magnus steps on a uniform grid of `steps` per period, combined in a
-    prefix product, then one partial step from the grid node below each
-    target.  Returns the lab-frame propagators U at the targets as a
-    (len(targets), 2, 2) array.
+    Magnus steps on a uniform grid of `steps` per period, combined in an
+    inclusive prefix product (later steps on the left) in log2(steps) rounds.
+    Node `steps` is the monodromy.
     """
-    targets = np.asarray(targets, dtype=float)
     h = TWO_PI / steps
     grid = np.empty((2, 2, steps + 1), dtype=complex)
     grid[:, :, 0] = np.eye(2)
     grid[:, :, 1:] = _magnus_steps(bundle, h * np.arange(steps), h)
-    # inclusive prefix product, later steps on the left, in log2(steps) rounds
     d = 1
     while d < steps:
         grid[:, :, d + 1 :] = _mul(grid[:, :, d + 1 :], grid[:, :, 1 : steps + 1 - d])
         d *= 2
+    return grid
+
+
+def _integrate_targets(bundle, targets, steps):
+    """Propagate dU~/dtau from tau = 0 to each target in [0, 2 pi] (up to rounding).
+
+    One partial Magnus step from the node of _grid below each target.
+    Returns the lab-frame propagators U at the targets as a
+    (len(targets), 2, 2) array.
+    """
+    targets = np.asarray(targets, dtype=float)
+    h = TWO_PI / steps
+    grid = _grid(bundle, steps)
     # the node below each target; the clip keeps a rounding of -1e-14 at
     # tau = 0 from reading node -1, the whole-period propagator
     node = np.clip(np.floor(targets / h), 0, steps).astype(np.int64)
@@ -307,22 +325,41 @@ def propagate_bloch_spin1(
     return CoherenceSeries(times=times, sx=mx, sy=my, sz=mz)
 
 
+def _floquet_splitting(grid):
+    """|eps_1 - eps_2| of the Floquet modes of one period of grid propagators.
+
+    With M v_a = exp(-2 pi i eps_a) v_a, the mode Phi_a(tau_j) = U~(tau_j) v_a
+    exp(i eps_a tau_j) is periodic; each eps_a is shifted by the harmonic that
+    carries the largest Fourier weight of its mode (the lowest index on a tie).
+    """
+    steps = grid.shape[-1] - 1
+    lam, vec = np.linalg.eig(grid[:, :, -1])
+    eps = -np.angle(lam) / TWO_PI
+    modes = np.einsum("ijn,ja->ian", grid[:, :, :-1], vec)
+    modes *= np.exp(1j * np.outer(eps, TWO_PI / steps * np.arange(steps)))
+    weight = np.sum(np.abs(np.fft.fft(modes)) ** 2, axis=0)
+    eps -= np.fft.fftfreq(steps, 1.0 / steps)[np.argmax(weight, axis=1)]
+    return float(abs(eps[0] - eps[1]))
+
+
 def monodromy_quasienergy(config: DriveConfiguration) -> QuasiEnergy:
     """Larmor frequency from the propagator over exactly one drive period.
 
-    The dressing phase closes after one period, so the monodromy eigenphases
-    +-theta give Omega_L = theta*omega/pi for spin half (half-angle rotation)
-    and theta*omega/(2 pi) for spin one.  Step-halving refines until the
-    extracted frequency moves by at most _REL_TOL * omega with a monodromy
-    unitarity error within _UNITARITY_DRIFT_LIMIT; an error still past it
-    after the last refinement raises UnitarityLost.
+    The dressing phase closes after one period, so the monodromy M is the
+    dressing-frame U~(2 pi).  Its eigenphases +-theta fix Omega_L only as
+    theta*omega/pi modulo 2 omega and up to sign (spin one: modulo omega);
+    step-halving refines until that folded value moves by at most
+    _REL_TOL * omega with a monodromy unitarity error within
+    _UNITARITY_DRIFT_LIMIT, and an error still past it after the last
+    refinement raises UnitarityLost.  The accepted grid then unfolds the
+    value by the Floquet modes (see QuasiEnergy), the same for both spins.
     """
     bundle = dimensionless(config)
     omega = config.dressing.omega
 
     def run(steps):
-        u = _integrate_targets(bundle, [TWO_PI], steps)[0]
-        mono = u if bundle.spin == "half" else _rotation(u)
+        grid = _grid(bundle, steps)
+        mono = grid[:, :, -1] if bundle.spin == "half" else _rotation(grid[:, :, -1])
         gram = mono.conj().T @ mono
         unit_err = float(np.linalg.norm(gram - np.eye(gram.shape[0]), 2))
         angles = np.abs(np.angle(np.linalg.eigvals(mono)))
@@ -333,25 +370,10 @@ def monodromy_quasienergy(config: DriveConfiguration) -> QuasiEnergy:
             theta = float(np.max(angles))  # spectrum {1, exp(+-i theta)}
             om = theta * omega / TWO_PI
         alias = theta < _ALIAS_TOL or math.pi - theta < _ALIAS_TOL
-        return om, unit_err, QuasiEnergy(om, alias, unit_err)
+        return om, unit_err, (grid, alias, unit_err)
 
-    return _refine(run, lambda om: omega, _UNITARITY_DRIFT_LIMIT, "monodromy")
-
-
-def quasienergy_candidates(x: float, omega: float, spin: str):
-    """All frequencies consistent with the measured eigenphase (aliasing).
-
-    For spin half the pair {+-theta} fixes the monodromy value x only up
-    to {x, 2*omega*k +- x}; for spin one up to {x, omega*k +- x}; k runs
-    over 0..3.
-    """
-    step = 2.0 * omega if spin == "half" else omega
-    cands = []
-    for k in range(4):
-        for cand in (k * step + x, (k + 1) * step - x):
-            if cand >= 0.0:
-                cands.append(cand)
-    return sorted(set(cands))
+    grid, alias, unit_err = _refine(run, lambda om: omega, _UNITARITY_DRIFT_LIMIT, "monodromy")
+    return QuasiEnergy(_floquet_splitting(grid) * omega, alias, unit_err)
 
 
 def analytic_coherences(

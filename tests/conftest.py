@@ -55,6 +55,14 @@ def lab_frame():
         yield
 
 
+def fold(omega_l, step):
+    """omega_l modulo step and up to sign, in [0, step/2]: all that the
+    monodromy eigenphases fix of a Larmor frequency (step 2 omega for spin
+    half, omega for spin one)."""
+    r = math.fmod(omega_l, step)
+    return min(r, step - r)
+
+
 def bessel_series_oracle(n, x, terms=60):
     """Independent power-series J_n(x) = sum_k (-1)^k (x/2)^{n+2k} / (k! (n+k)!).
 

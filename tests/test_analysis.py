@@ -10,9 +10,7 @@ import pytest
 from dressedspin import analysis, special
 from dressedspin.analysis import (
     J0_FIRST_ROOT,
-    ScanRow,
     ScanSpec,
-    _apply_branch_continuity,
     _invert_j0,
     _timeseries_omega,
     calibrate,
@@ -21,14 +19,14 @@ from dressedspin.analysis import (
     synthetic_calibration_data,
 )
 from dressedspin.config import validate
-from dressedspin.configfile import load_config
+from dressedspin.configfile import apply_overrides, load_config
 from dressedspin.effective import larmor_frequency
 from dressedspin.errors import DegenerateData, FitDiverged, NoOscillation
 from dressedspin.fitting import bisect_root
 from dressedspin.propagate import CoherenceSeries, monodromy_quasienergy, propagate_spin_half
 from dressedspin.special import bessel_j
 
-from conftest import KHZ, lab_frame, make_config
+from conftest import KHZ, fold, lab_frame, make_config
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
@@ -221,7 +219,9 @@ def test_readme_xi_grid_row_below_the_window_floor_converges():
 def test_xi_scan_within_stated_bounds_of_lab_route():
     # The README odd-harmonic xi range, 24 points, all three methods, against
     # the lab-frame route (seen: monodromy 3.9e-13 and time series 1.2e-14 of
-    # omega apart with windows sized alike).  Closed-form cells are identical.
+    # omega apart with windows sized alike, the lab route's value folded into
+    # [0, omega]: its Floquet modes carry the dressing harmonics and may
+    # unfold it onto another branch).  Closed-form cells are identical.
     # Every row has a time-series value, within 2e-3 of monodromy, or 5e-2
     # where monodromy is more than 10 % off first order.
     omega = 9.0 * KHZ
@@ -238,7 +238,7 @@ def test_xi_scan_within_stated_bounds_of_lab_route():
     for row, ref, ok in zip(rows, lab, sized):
         assert row.errors == ()
         assert (row.perturbative, row.eta, row.p1_norm_max) == (ref.perturbative, ref.eta, ref.p1_norm_max)
-        assert abs(row.monodromy - ref.monodromy) <= 1e-10 * omega
+        assert abs(row.monodromy - fold(ref.monodromy, 2.0 * omega)) <= 1e-10 * omega
         assert row.alias_ambiguous == ref.alias_ambiguous
         assert row.timeseries == pytest.approx(row.monodromy, rel=2e-3 if ok else 5e-2)
     # with the lab route's window (sized from first order) the fitted time
@@ -248,35 +248,32 @@ def test_xi_scan_within_stated_bounds_of_lab_route():
         assert abs(_timeseries_omega(spec.config_at(spec.grid[i]), rows[i].perturbative) - want) <= 1e-10 * omega
 
 
+# xi = 0 and no tuning: U(tau) = exp(-i k tau n.sigma/2), so Omega_L is k omega
+# exactly, also past the folds of the eigenphase at k = 1, 2, ...
 @pytest.mark.parametrize("spin", ["half", "one"])
-def test_branch_continuity_resolves_values_from_several_alias_branches(spin):
+@pytest.mark.parametrize("k", [0.3, 0.98, 1.02, 1.3, 2.7, 3.6, 6.2])
+def test_static_field_larmor_is_exact_on_every_branch(k, spin):
     omega = 10.0 * KHZ
-    step = 2.0 * omega if spin == "half" else omega  # alias period of Omega_L
-    # a smooth Larmor curve inside (2 step, 2.5 step); each raw value after
-    # the first is one of its aliases u, step - u, step + u, 2 step - u
-    truth = (2.25 + 0.12 * np.sin(0.4 * np.arange(24))) * step
-    u = truth - 2.0 * step
-    aliases = (u, step - u, step + u, 2.0 * step - u)
-    raw = [truth[0]] + [aliases[i % 4][i] for i in range(1, truth.size)]
-    rows = [ScanRow(value=float(i), monodromy=float(x)) for i, x in enumerate(raw)]
-    rows.insert(5, ScanRow(value=4.5, errors=("monodromy:NoConvergence",)))
-    out = _apply_branch_continuity(rows, omega, spin)
-    assert out.pop(5) is rows[5]
-    assert [r.monodromy for r in out] == pytest.approx(list(truth), rel=1e-12)
+    base = make_config(10.0, w0_khz=(6.0 * k, 0.0, 8.0 * k), spin=spin)
+    qe = monodromy_quasienergy(base)
+    assert abs(qe.omega_L_numeric - k * omega) <= 1e-12 * omega
+    (row,) = run_scan(ScanSpec(swept="xi", grid=(0.0,), base=base, methods=("monodromy",))).rows
+    assert row.monodromy == qe.omega_L_numeric
 
 
-@pytest.mark.parametrize("spin", ["half", "one"])
-def test_branch_continuity_unfolds_reflection_edges(spin):
-    omega = 10.0 * KHZ
-    step = 2.0 * omega if spin == "half" else omega
-    # a monotone sweep through step/2, step and 3 step/2; the monodromy
-    # reports each value folded into [0, step/2]
-    truth = (0.07 + 0.06 * np.arange(31) + 4e-4 * np.arange(31) ** 2) * step
-    folded = np.abs(truth - step * np.round(truth / step))
-    rows = [ScanRow(value=0.1 * i, monodromy=float(x)) for i, x in enumerate(folded)]
-    out = _apply_branch_continuity(rows, omega, spin)
-    assert truth[-1] > 1.5 * step
-    assert [r.monodromy for r in out] == pytest.approx(list(truth), rel=1e-12)
+# Strong static z fields, Omega_L > omega: the monodromy value against the sx
+# line of a 400-period series (seen: 2.79423, 5.05612, 3.05417 and 5.17093
+# omega, equal to 5 digits).
+@pytest.mark.parametrize("z", [2.7, 5.0])
+@pytest.mark.parametrize("name", ["odd-harmonic", "anisotropy"])
+def test_strong_field_monodromy_matches_time_series(name, z):
+    base = load_config(CONFIGS / f"{name}.cfg")
+    cfg = validate(apply_overrides(base, [f"static.z={z * base.dressing.omega / KHZ}"]))
+    omega = cfg.dressing.omega
+    want = monodromy_quasienergy(cfg).omega_L_numeric
+    assert want > 2.0 * omega
+    est = extract_frequency(propagate_spin_half(cfg, 400 * 2.0 * math.pi / omega, 40000))
+    assert abs(est.omega_L - want) <= 3.0 * est.stderr + 1e-6 * want
 
 
 def test_scan_jobs_parallel_matches_serial():

@@ -29,10 +29,9 @@ from dressedspin.propagate import (
     monodromy_quasienergy,
     propagate_bloch_spin1,
     propagate_spin_half,
-    quasienergy_candidates,
 )
 
-from conftest import KHZ, lab_bundle, lab_frame, make_config
+from conftest import KHZ, fold, lab_bundle, lab_frame, make_config
 
 J0_ROOT = 2.404825557695773
 TWO_PI = 2 * math.pi
@@ -136,13 +135,6 @@ def test_collapse_quasienergy_tiny():
     assert qe.alias_ambiguous
 
 
-def test_quasienergy_candidates():
-    qe = monodromy_quasienergy(make_config(10.0, w0_khz=(0, 0, 0.2)))
-    cands = quasienergy_candidates(qe.omega_L_numeric, 10.0 * KHZ, "half")
-    assert any(abs(c - 0.2 * KHZ) < 1.0 for c in cands)
-    assert any(abs(c - (20.0 - 0.2) * KHZ) < 1.0 for c in cands)
-
-
 def test_unitarity_lost_raised(monkeypatch):
     cfg = make_config(9.0, xi=2.0, w0_khz=(0, 0, 2.040))
     monkeypatch.setattr(propagate, "_UNITARITY_DRIFT_LIMIT", 1e-16)
@@ -191,13 +183,13 @@ def test_monodromy_unitarity_lost_raised(monkeypatch):
     # bound keeps the step-halving going to its last refinement
     cfg = make_config(9.0, xi=2.0, w0_khz=(0, 0, 2.040))
     steps = []
-    integrate = propagate._integrate_targets
+    grid = propagate._grid
 
-    def counting(bundle, targets, n):
+    def counting(bundle, n):
         steps.append(n)
-        return integrate(bundle, targets, n)
+        return grid(bundle, n)
 
-    monkeypatch.setattr(propagate, "_integrate_targets", counting)
+    monkeypatch.setattr(propagate, "_grid", counting)
     monodromy_quasienergy(cfg)
     assert steps == [128, 256]
     steps.clear()
@@ -413,6 +405,14 @@ def _reference_su2_targets(bundle, targets, steps):
     )
 
 
+def _reference_su2_grid(bundle, steps):
+    """RK4 in the dressing frame to every grid node, one step per gap: same
+    signature and (2, 2, steps + 1) layout as propagate._grid."""
+    nodes = TWO_PI / steps * np.arange(steps + 1)
+    mats = _reference_integrate_targets(partial(_frame_generator_stack, bundle), nodes, steps)
+    return np.stack(mats, axis=-1)
+
+
 def _reference_sampled_series(integrate, taus, psi0, steps):
     """Sample-by-sample assembly of U(s) M^k psi0, M^k one period at a time,
     with the propagators from integrate(targets, steps)."""
@@ -486,6 +486,7 @@ def _rk4_route():
     place of the Magnus grid, under step-halving from 512 steps per period."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(propagate, "_integrate_targets", _reference_su2_targets)
+        mp.setattr(propagate, "_grid", _reference_su2_grid)
         mp.setattr(propagate, "_STEPS_PER_PERIOD", ORACLE_STEPS)
         yield
 
@@ -637,10 +638,12 @@ def test_large_xi_matches_fine_lab_reference(name, amplitude):
 
 # Against the lab-frame route under the same step-halving: on the shipped
 # configs simulate's 2048 samples over 5 ms moved by at most 1.3e-12 and the
-# monodromy by at most 2.3e-13 of omega.  Against RK4 under step-halving from
-# 512 steps per period (the integrator before the Magnus grid) the stated
-# bounds are 1e-10 per series cell and 1e-10 of omega (seen: 1.7e-12 and
-# 1.1e-13 of omega).
+# monodromy by at most 2.3e-13 of omega.  The lab-frame Floquet modes carry
+# the dressing harmonics and may unfold the monodromy onto another branch,
+# so its value is compared folded into [0, alias step/2].  Against RK4 under
+# step-halving from 512 steps per period (the integrator before the Magnus
+# grid) the stated bounds are 1e-10 per series cell and 1e-10 of omega
+# (seen: 1.7e-12 and 1.1e-13 of omega), unfolded.
 @pytest.mark.parametrize("spin", ["half", "one"])
 @pytest.mark.parametrize("name", SHIPPED)
 def test_dressing_frame_stays_within_stated_bounds_of_lab_route(name, spin):
@@ -653,7 +656,8 @@ def test_dressing_frame_stays_within_stated_bounds_of_lab_route(name, spin):
         lab_series, lab_qe = run(cfg, 5e-3, 2048), monodromy_quasienergy(cfg)
     want = np.column_stack((lab_series.sx, lab_series.sy, lab_series.sz))
     assert np.max(np.abs(got - want)) <= 1e-9
-    assert abs(qe.omega_L_numeric - lab_qe.omega_L_numeric) <= 1e-10 * omega
+    step = 2.0 * omega if spin == "half" else omega
+    assert abs(qe.omega_L_numeric - fold(lab_qe.omega_L_numeric, step)) <= 1e-10 * omega
     assert qe.alias_ambiguous == lab_qe.alias_ambiguous
     with _rk4_route():
         rk4_series, rk4_qe = run(cfg, 5e-3, 2048), monodromy_quasienergy(cfg)
@@ -661,3 +665,44 @@ def test_dressing_frame_stays_within_stated_bounds_of_lab_route(name, spin):
     assert np.max(np.abs(got - want)) <= 1e-10
     assert abs(qe.omega_L_numeric - rk4_qe.omega_L_numeric) <= 1e-10 * omega
     assert qe.alias_ambiguous == rk4_qe.alias_ambiguous
+
+
+def _shirley_splitting(bundle):
+    """Omega_L/omega from Shirley's Floquet matrix (Phys. Rev. 138, B979
+    (1965)), with no time stepping.
+
+    H_F[m, n] = C_{m-n}.sigma/2 + m delta_mn over the blocks |m|, |n| <= K,
+    with C_n the Fourier coefficients of the dressing-frame field on 512
+    points.  Its two eigenvectors with the largest weight in block 0 carry
+    the quasienergies of the two Floquet modes, each on the branch where
+    its strongest harmonic is the zeroth; their splitting is Omega_L/omega.
+    """
+    n = 512
+    c = np.fft.fft(_dressing_frame_field(bundle, TWO_PI / n * np.arange(n)), axis=-1) / n
+    p_max = max((t.harmonic for t in bundle.tuning), default=0)
+    field_sum = sum(abs(w) for w in bundle.w0) + sum(abs(t.strength) for t in bundle.tuning)
+    k = math.ceil(2.0 * abs(bundle.xi) + p_max + 4.0 * field_sum + 30.0)
+    m = np.arange(-k, k + 1)
+    blocks = np.einsum("imn,iab->manb", c[:, (m[:, None] - m[None, :]) % n], 0.5 * PAULI)
+    size = 2 * m.size
+    eps, vec = np.linalg.eigh(blocks.reshape(size, size) + np.diag(np.repeat(m, 2).astype(float)))
+    a, b = np.argsort(np.sum(np.abs(vec[2 * k : 2 * k + 2]) ** 2, axis=0))[-2:]
+    return abs(eps[a] - eps[b])
+
+
+# The shipped configs, then with a strong static z field (Omega_L > omega,
+# where the eigenphases alone fold the value) and at xi = 10.  Seen: within
+# 1.02e-12 of omega.
+@pytest.mark.parametrize("variant", ["shipped", "z-2.7-omega", "xi-10"])
+@pytest.mark.parametrize("name", SHIPPED)
+def test_monodromy_matches_shirley_floquet_matrix(name, variant):
+    base = load_config(CONFIGS / f"{name}.cfg")
+    khz = base.dressing.omega / (TWO_PI * 1e3)
+    overrides = {
+        "shipped": [],
+        "z-2.7-omega": [f"static.z={2.7 * khz}"],
+        "xi-10": [f"dressing.amplitude={10.0 * khz}"],
+    }[variant]
+    cfg = validate(apply_overrides(base, overrides))
+    got = monodromy_quasienergy(cfg).omega_L_numeric / cfg.dressing.omega
+    assert abs(got - _shirley_splitting(dimensionless(cfg))) <= 3e-12
