@@ -10,7 +10,9 @@ Each evaluation of f1, f2 or g reads one table of J_n from one Bessel
 recurrence and follows one truncation rule, set by two private module
 constants read at call time: terms are added until the tau-independent
 envelope of the next level drops below ``_SERIES_ABS_TOL``; reaching
-``_SERIES_MAX_TERMS`` levels first raises SeriesNotConverged.
+``_SERIES_MAX_TERMS`` levels first raises SeriesNotConverged.  g may stop
+only past level p - 1, so its cap grows to p levels for a harmonic p above
+``_SERIES_MAX_TERMS``.
 
 Only tau varies along a P1 diagnostic, so the tau-independent work is
 memoised in two bounded least-recently-used caches:
@@ -18,9 +20,12 @@ memoised in two bounded least-recently-used caches:
 - ``_bessel_table`` holds the normalised J_0..J_{hi-1}(|x|) of one Miller
   recurrence, keyed on (hi, |x|), at most ``_TABLE_CACHE`` tables;
   ``bessel_j`` applies the sign of x and returns a fresh list or a float.
-- ``_g_coefficients`` holds the per-level (k, c) pairs of g up to its stop
-  level, keyed on (xi, p, Phi, abs_tol, max_terms), at most ``_G_CACHE``
-  sets; each g evaluation sums c*(exp(i k tau) - 1) over them.
+  f1 and f2 have no memo of their own: each evaluation reads its table
+  through ``bessel_j`` and sums its terms in one loop.
+- ``_g_coefficients`` holds g's terms up to its stop level as two read-only
+  flat arrays k and c, keyed on (xi, p, Phi, abs_tol, max_terms), at most
+  ``_G_CACHE`` sets; each g evaluation is one NumPy pass,
+  sum c*expm1(i k tau), which is exactly 0 at tau = 0.
 
 A cached value is the one the same float operations give on a miss, keyed
 on every input they read, and an exception (SeriesNotConverged) is never
@@ -30,6 +35,8 @@ cached, so results do not depend on cache state or call history.
 import cmath
 import functools
 import math
+
+import numpy as np
 
 from .errors import SeriesNotConverged
 
@@ -115,24 +122,20 @@ def bessel_j(n, x: float):
     return [-table[k] if k % 2 else table[k] for k in n] if neg else list(table[lo:])
 
 
-def _series_terms(levels, xi, past, size, abs_tol, max_terms, name):
-    """Yield the terms of a Bessel series under the truncation rule.
-
-    levels(jn) yields (order, envelope, term) per level, up to the term cap,
-    from jn = [J_0(xi), ..., J_{size-1}(xi)] of one bessel_j recurrence.  The
-    series stops after the first level of order > past (past >= |xi|, where
-    J_n decays monotonically) whose envelope is below abs_tol, and raises
-    SeriesNotConverged at the cap.  jn stops at the Miller seed of past: the
-    orders beyond are below 2e-28 (checked against scipy in the tests) and
-    read as zero, so an abs_tol below that stops there rather than at the
-    cap."""
+def _series_table(xi, past, size):
+    """[J_0(xi), ..., J_{n-1}(xi), 0.0, 0.0] from one bessel_j recurrence,
+    for a series of size orders that may stop only past order past >= |xi|
+    (where J_n decays monotonically).  The recurrence stops at the Miller
+    seed of past, n = min(size, seed + 1): the orders beyond are below 2e-28
+    (checked against scipy in the tests) and read as zero, so the first of
+    the two zeros stops a series under any abs_tol > 0, and a series that
+    reads past them raises at its cap as it would over more zeros."""
     computed = min(size, _miller_seed(min(size, past)) + 1)  # a NaN xi sums to SeriesNotConverged
-    jn = bessel_j(range(computed), xi) + [0.0] * (size - computed)
-    for order, envelope, term in levels(jn):
-        yield term
-        if order > past and envelope < abs_tol:
-            return
-    raise SeriesNotConverged(f"{name} series: {max_terms} levels with envelope >= {abs_tol:g} (xi={xi:g})")
+    return bessel_j(range(computed), xi) + [0.0, 0.0]
+
+
+def _not_converged(name, cap, abs_tol, xi):
+    return SeriesNotConverged(f"{name} series: {cap} levels with envelope >= {abs_tol:g} (xi={xi:g})")
 
 
 def phi(tau: float, xi: float) -> float:
@@ -140,27 +143,35 @@ def phi(tau: float, xi: float) -> float:
     return xi * math.sin(tau)
 
 
-def _g_levels(jn, p, Phi, cap):
+@functools.lru_cache(maxsize=_G_CACHE)
+def _g_coefficients(xi, p, Phi, abs_tol, max_terms):
+    """Read-only flat arrays (k, c) of g's terms up to its stop level.
+
+    Level |n| holds the terms of J_n and J_{-n}, each at k = n + p (weight
+    exp(i Phi)/2) and k = n - p (weight exp(-i Phi)/2) with c = weight *
+    J_n/(i k); k = 0 (n = -p and n = +p) is the secular part and left out.
+    The series may stop only past both resonant levels and |xi|, so its cap
+    of max_terms levels grows to p levels for a harmonic p above it.
+    """
+    cap = max(max_terms, p)
+    past = max(abs(xi), p - 1)
+    jn = _series_table(xi, past, cap + 1)
     eip = cmath.exp(1j * Phi)
-    for level in range(cap + 1):
-        pairs = []
+    ks, cs = [], []
+    for level in range(min(cap + 1, len(jn))):
         envelope = 0.0
         for n in (level,) if level == 0 else (level, -level):
             j = jn[level] if (n >= 0 or level % 2 == 0) else -jn[level]
             for k, e in ((n + p, eip), (n - p, eip.conjugate())):
-                if k:  # n = -p and n = +p are the secular terms
-                    pairs.append((k, 0.5 * e * j / (1j * k)))
+                if k:
+                    ks.append(k)
+                    cs.append(0.5 * e * j / (1j * k))
                     envelope = max(envelope, abs(j) / abs(k))
-        yield level, envelope, tuple(pairs)
-
-
-@functools.lru_cache(maxsize=_G_CACHE)
-def _g_coefficients(xi, p, Phi, abs_tol, max_terms):
-    """The (k, c) pairs of each level of g up to its stop level."""
-    # summed in levels |n|, stopping only past both resonant indices and |xi|
-    terms = _series_terms(lambda jn: _g_levels(jn, p, Phi, max_terms), xi, max(abs(xi), p - 1), max_terms + 1,
-                          abs_tol, max_terms, "g")
-    return tuple(terms)
+        if level > past and envelope < abs_tol:
+            k, c = np.array(ks, dtype=float), np.array(cs)
+            k.flags.writeable = c.flags.writeable = False
+            return k, c
+    raise _not_converged("g", cap, abs_tol, xi)
 
 
 def g_func(tau: float, xi: float, p: int, Phi: float):
@@ -173,22 +184,8 @@ def g_func(tau: float, xi: float, p: int, Phi: float):
     """
     if p < 1:
         raise ValueError("harmonic p must be >= 1")
-    total = 0.0
-    for pairs in _g_coefficients(xi, p, Phi, _SERIES_ABS_TOL, _SERIES_MAX_TERMS):
-        term = 0.0
-        for k, c in pairs:
-            term += c * (cmath.exp(1j * k * tau) - 1.0)
-        total += term
-    return total
-
-
-def _f_levels(jn, tau, cap, i):
-    # f1 = sum 2 J_m/m sin(m tau) over m = 2, 4, .., 2 cap;
-    # f2 = sum 4 J_m/m sin^2(m tau/2) over m = 1, 3, .., 2 cap + 1
-    for m in range(3 - i, 2 * cap + i, 2):
-        c = 2.0 * i * jn[m] / m
-        s = math.sin(m * tau if i == 1 else 0.5 * m * tau)
-        yield m, abs(c), c * s if i == 1 else c * s * s
+    k, c = _g_coefficients(xi, p, Phi, _SERIES_ABS_TOL, _SERIES_MAX_TERMS)
+    return complex(np.dot(c, np.expm1(1j * tau * k)))
 
 
 def f_aux(i: int, tau: float, xi: float, p: int = 1, Phi: float = 0.0) -> float:
@@ -200,11 +197,23 @@ def f_aux(i: int, tau: float, xi: float, p: int = 1, Phi: float = 0.0) -> float:
         cos(phi)*cos(p tau+Phi) and sin(phi)*cos(p tau+Phi) integrals.
     """
     if i in (1, 2):
+        # f1 = sum 2 J_m/m sin(m tau) over m = 2, 4, .., 2 cap;
+        # f2 = sum 4 J_m/m sin^2(m tau/2) over m = 1, 3, .., 2 cap + 1
         tol, cap = _SERIES_ABS_TOL, _SERIES_MAX_TERMS
+        past = abs(xi)
+        jn = _series_table(xi, past, 2 * cap + i)
+        two_i = 2.0 * i
         total = 0.0
-        for term in _series_terms(lambda jn: _f_levels(jn, tau, cap, i), xi, abs(xi), 2 * cap + i, tol, cap, f"f{i}"):
-            total += term
-        return total
+        for m in range(3 - i, min(2 * cap + i, len(jn)), 2):
+            c = two_i * jn[m] / m
+            if i == 1:
+                total += c * math.sin(m * tau)
+            else:
+                s = math.sin(0.5 * m * tau)
+                total += c * s * s
+            if m > past and abs(c) < tol:
+                return total
+        raise _not_converged(f"f{i}", cap, tol, xi)
     if i == 3:
         return g_func(tau, xi, p, Phi).real
     if i == 4:

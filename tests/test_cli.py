@@ -80,6 +80,13 @@ def test_effective_field_report(tmp_path, capsys):
     assert values["Omega_L/2pi (kHz)"] == pytest.approx(expected, rel=1e-10)
 
 
+def test_effective_field_at_harmonic_65_exits_0(capsys):
+    # g's series must pass level p - 1, beyond the default cap of 64 levels
+    cfg = str(Path(__file__).parent.parent / "configs" / "odd-harmonic.cfg")
+    assert main(["effective-field", cfg, "--set", "tuning.0.harmonic=65"]) == 0
+    assert "p1_norm_max" in capsys.readouterr().out
+
+
 def test_effective_field_zero_config(tmp_path, capsys):
     cfg = _write(tmp_path, "zero.cfg", "[dressing]\nfrequency = 10\n")
     assert main(["effective-field", cfg]) == 0
@@ -364,6 +371,16 @@ def test_python_m_runs_the_cli():
     code, out = _fresh_process(["calibrate", "--omega0z", "5.979", "--synthetic"])
     assert code == 0
     assert out.startswith("scale         : ")
+
+
+def test_cli_import_loads_no_test_tool_or_process_pool():
+    # what importing the CLI loads is the set-up cost of every command
+    env = dict(os.environ, PYTHONPATH=str(Path(dressedspin.__file__).parents[1]))
+    probe = "import sys, dressedspin.cli; print(' '.join(sorted(set(sys.argv[1:]) & set(sys.modules))))"
+    unwanted = ["scipy", "hypothesis", "pytest", "concurrent.futures"]
+    proc = subprocess.run([sys.executable, "-c", probe, *unwanted], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
 
 
 def test_cached_parser_holds_no_state_between_calls(tmp_path, capsys, monkeypatch):

@@ -4,6 +4,7 @@ from pathlib import Path
 from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
+import scipy.fft
 import scipy.integrate
 
 from dressedspin.config import dimensionless
@@ -15,6 +16,7 @@ from dressedspin.effective import (
     PAULI_Y,
     PAULI_Z,
     _dressing_frame_field,
+    _p1_vector,
     bare_precession,
     floquet_first_order,
     larmor_frequency,
@@ -313,6 +315,36 @@ def test_p1_norm_matches_matrix_svd_reference(tuning, spin):
     taus = np.linspace(0.0, 2.0 * math.pi, 33)
     got = floquet_first_order(cfg, tau_grid=taus).p1_norm_max
     assert got == pytest.approx(_reference_p1_norm_max(cfg, taus), rel=1e-14, abs=0.0)
+
+
+def _spectral_p1_vectors(bundle, taus, n=1024):
+    """P1 vectors at taus from the Fourier coefficients C_k of the interaction
+    field on n uniform points (scipy.fft): the periodic part of its integral,
+    sum over k != 0 of C_k (exp(i k tau) - 1)/(i k).  No Bessel function or
+    series truncation enters; n = 1024 resolves every harmonic of the field
+    for |xi| + p up to about 400."""
+    grid = 2.0 * math.pi * np.arange(n) / n
+    coef = scipy.fft.fft(np.array([_interaction_field(bundle, t) for t in grid]).T, axis=1) / n
+    k = scipy.fft.fftfreq(n, 1.0 / n)[1:]
+    return ((coef[:, 1:] / (1j * k)) @ (np.exp(1j * np.outer(k, taus)) - 1.0)).real
+
+
+@pytest.mark.parametrize("xi", [0.0, 1.833, 10.0])
+@pytest.mark.parametrize("p", [65, 100, 171])
+def test_p1_at_harmonics_past_64_matches_spectral_reference(p, xi):
+    # g's series may stop only past level p - 1, beyond the default cap of 64
+    # levels here.  The tuning terms are as large as the static ones (worst
+    # seen: 1.0e-13 of the largest |v|).
+    cfg = make_config(
+        9.0, xi=xi, w0_khz=(0.4, 0.3, 2.040), tuning=(("y", 40.0, p, 0.7), ("z", 25.0, p, 2.1), ("x", 5.0, p, 0.3))
+    )
+    bundle = dimensionless(cfg)
+    taus = np.linspace(0.0, 2.0 * math.pi, 129)
+    want = _spectral_p1_vectors(bundle, taus)
+    scale = float(np.max(np.linalg.norm(want, axis=0)))
+    got = np.array([_p1_vector(bundle, float(t)) for t in taus]).T
+    assert np.max(np.abs(got - want)) <= 1e-10 * scale
+    assert floquet_first_order(cfg).p1_norm_max == pytest.approx(0.5 * scale, rel=1e-10)
 
 
 def test_eta_diagnostic():

@@ -178,6 +178,25 @@ def test_monodromy_no_convergence_raised(monkeypatch):
         monodromy_quasienergy(make_config(9.0, xi=2.0, w0_khz=(0, 0, 2.040)))
 
 
+@pytest.mark.parametrize("single, splitting", [(1, 0.0), (-1, 4.0)])
+def test_floquet_splitting_breaks_ties_at_the_lowest_fft_index(single, splitting):
+    # A synthetic 8-step grid whose entries are 0, +-1 and +-i, so every FFT
+    # weight is exact.  M = I, so eps = 0 and the modes are the columns.
+    # Column 0, (cos 2tau, i sin 2tau), weighs the same at harmonic +2 (FFT
+    # index 2) and -2 (index 6), and the rule shifts its eps to -2.  Column 1,
+    # (0, exp(+-2i tau)), sits at +-2 alone, so the other tie choice would
+    # swap the two splittings.
+    steps = 8
+    u = np.array([1, 1j, -1, -1j] * 2 + [1])  # exp(2i tau_n), tau_n = 2 pi n/8
+    grid = np.zeros((2, 2, steps + 1), dtype=complex)
+    grid[0, 0] = (u + u.conj()) / 2
+    grid[1, 0] = (u - u.conj()) / 2
+    grid[1, 1] = u if single == 1 else u.conj()
+    weight = np.sum(np.abs(np.fft.fft(grid[:, :, :-1])) ** 2, axis=0)
+    assert weight[0, 2] == weight[0, 6] == weight[0].max()
+    assert propagate._floquet_splitting(grid) == splitting
+
+
 def test_monodromy_unitarity_lost_raised(monkeypatch):
     # the frequency settles after one doubling, but an unreachable unitarity
     # bound keeps the step-halving going to its last refinement
@@ -315,12 +334,12 @@ SERIES_ATOL = 1e-8  # per series cell, |M(0)| <= 2
 PROPAGATOR_ATOL = 1e-10  # per rotation-matrix entry at 4096 steps/period
 UNITARITY_ATOL = 1e-11  # monodromy unitarity error
 
-# The SU(2) oracle below is classical RK4 in the dressing frame, one step at a
-# time over each gap between targets, with the frame generator derived here
-# from the lab generator.  Against it, at 4096 steps/period for both routes,
-# the Magnus propagators differ by at most 4.7e-14 per entry and a sampled
-# series over about 50 periods by 2.0e-12 per state entry (largest seen on
-# the shipped configs).
+# The SU(2) oracle below is classical RK4 in the dressing frame over each gap
+# between targets, its steps multiplied in order as step matrices, with the
+# frame generator derived here from the lab generator.  Against it, at 4096
+# steps/period for both routes, the Magnus propagators differ by at most
+# 4.8e-14 per entry and a sampled series over about 50 periods by 1.9e-12
+# per state entry (largest seen on the shipped configs).
 SU2_PROPAGATOR_ATOL = 1e-13  # per propagator entry at 4096 steps/period
 SU2_STATE_ATOL = 1e-11  # per state entry of a sampled series over about 50 periods
 
@@ -363,35 +382,50 @@ def _frame_generator_stack(bundle, taus):
     return w @ _lab_generator_stack(bundle, taus) @ w.conj().transpose(0, 2, 1) + 0.5j * dphi * PAULI_X
 
 
+def _ordered_product(d):
+    """D with I + D = (I + d[-1]) @ ... @ (I + d[0]) for an (m, n, n) stack,
+    by pairwise products, (I + b)(I + a) = I + a + b + ba: each factor is
+    kept as its difference from I, whose rounding does not pile up."""
+    while len(d) > 1:
+        a, b = d[:-1:2], d[1::2]
+        pairs = a + b + b @ a
+        d = np.concatenate((pairs, d[-1:])) if len(d) % 2 else pairs
+    return d[0]
+
+
 def _reference_integrate_targets(generator, targets, steps):
-    """Per-gap RK4 loop through ascending targets at up to `steps` steps per
+    """Per-gap RK4 through ascending targets at up to `steps` steps per
     period: each gap gets the fewest equal steps no longer than 2 pi/steps.
+    The ODE is linear, so each RK4 step is a matrix, I + h/6 (K1 + 2 K2 +
+    2 K3 + K4) with K1 = A(t), K2 = A(t + h/2)(I + h/2 K1), K3 = A(t + h/2)
+    (I + h/2 K2) and K4 = A(t + h)(I + h K3).  The step matrices of every
+    gap are built at once, as their differences from I, and each gap
+    multiplies its own in order.
 
     With _lab_generator_stack or _bloch_generator_stack it is the lab-frame
     2x2 or real 3x3 route; _reference_su2_targets runs it in the dressing frame.
     """
     base_step = TWO_PI / steps
-    a = generator(np.zeros(1))[0]
-    U = np.eye(a.shape[0], dtype=a.dtype)
+    targets = np.asarray(targets, dtype=float)
+    prev = np.concatenate(([0.0], targets[:-1]))
+    gaps = targets - prev
+    counts = np.array([max(1, int(math.ceil(gap / base_step - 1e-12))) if gap > 0.0 else 0 for gap in gaps])
+    hs = np.repeat(gaps / np.maximum(counts, 1), counts)
+    t0 = np.repeat(prev, counts) + hs * (np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts))
+    h = hs[:, None, None]
+    ah = generator(t0 + 0.5 * hs)
+    eye = np.eye(ah.shape[-1], dtype=ah.dtype)
+    k1 = generator(t0)
+    k2 = ah @ (eye + (0.5 * h) * k1)
+    k3 = ah @ (eye + (0.5 * h) * k2)
+    k4 = generator(t0 + hs) @ (eye + h * k3)
+    increments = (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)  # step matrix minus I
+    U = eye
     out = []
-    prev = 0.0
-    for target in targets:
-        gap = target - prev
-        if gap > 0.0:
-            m = max(1, int(math.ceil(gap / base_step - 1e-12)))
-            hs = gap / m
-            t0 = prev + hs * np.arange(m)
-            a0 = generator(t0)
-            ah = generator(t0 + 0.5 * hs)
-            a1 = generator(t0 + hs)
-            for j in range(m):
-                k1 = a0[j] @ U
-                k2 = ah[j] @ (U + (0.5 * hs) * k1)
-                k3 = ah[j] @ (U + (0.5 * hs) * k2)
-                k4 = a1[j] @ (U + hs * k3)
-                U = U + (hs / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    for end, m in zip(np.cumsum(counts), counts):
+        if m:
+            U = U + _ordered_product(increments[end - m : end]) @ U
         out.append(U.copy())
-        prev = target
     return out
 
 
@@ -399,10 +433,9 @@ def _reference_su2_targets(bundle, targets, steps):
     """RK4 in the dressing frame, then the rotation exp(-i phi sigma_x/2) back
     to the lab frame.  Same signature as propagate._integrate_targets, and
     unlike it takes targets past 2 pi."""
-    mats = _reference_integrate_targets(partial(_frame_generator_stack, bundle), targets, steps)
-    return np.stack(
-        [expm(-0.5j * bundle.xi * math.sin(math.fmod(t, TWO_PI)) * PAULI_X) @ u for t, u in zip(targets, mats)]
-    )
+    mats = np.stack(_reference_integrate_targets(partial(_frame_generator_stack, bundle), targets, steps))
+    angles = bundle.xi * np.sin(np.fmod(np.asarray(targets, dtype=float), TWO_PI))
+    return expm(-0.5j * angles[:, None, None] * PAULI_X) @ mats
 
 
 def _reference_su2_grid(bundle, steps):
@@ -611,7 +644,7 @@ def test_lab_bundle_generator_is_the_lab_generator():
 
 
 # Large xi: 2048 samples over 5 ms against the RK4 oracle in the dressing
-# frame at 16,384 steps per period (it moves by at most 4.2e-13 from 32,768
+# frame at 16,384 steps per period (it moves by at most 1.5e-13 from 32,768
 # steps).  RK4 on a per-gap step layout under step-halving from 512 steps
 # landed 1.7e-10 to 2.3e-9 away here while reporting convergence; the Magnus
 # grid lands within 1.3e-12, and its monodromy within 1.4e-12 of omega.

@@ -189,6 +189,20 @@ def test_series_not_converged(monkeypatch):
         g_func(1.0, 40.0, 2, 0.0)
 
 
+def test_g_cap_grows_to_the_harmonic():
+    # g may stop only past level p - 1, so for a harmonic above the cap of 64
+    # levels the cap grows to p levels.  At xi = 0 only J_0 = 1 is left:
+    # g = (exp(i Phi)(exp(i p tau) - 1) - exp(-i Phi)(exp(-i p tau) - 1))/(2 i p)
+    Phi = 0.7
+    for p in (65, 100, 171):
+        for tau in (0.3, 2.9, 5.5):
+            want = (cmath.exp(1j * Phi) * (cmath.exp(1j * p * tau) - 1.0)
+                    - cmath.exp(-1j * Phi) * (cmath.exp(-1j * p * tau) - 1.0)) / (2j * p)
+            assert abs(g_func(tau, 0.0, p, Phi) - want) <= 1e-15
+    with pytest.raises(SeriesNotConverged, match="g series: 65 levels"):
+        g_func(1.0, 60.0, 65, 0.0)
+
+
 # Reference copies of the per-order routines: one full downward recurrence
 # per Bessel order, and one truncation loop per series.  The range form of
 # bessel_j and the shared truncation rule must reproduce them.
