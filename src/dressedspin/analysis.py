@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .config import DriveConfiguration, validate
-from .effective import bare_precession, floquet_first_order, rectified_field
+from .effective import floquet_first_order, rectified_field
 from .errors import DegenerateData, DressedSpinError, FitDiverged, NoOscillation
 from .fitting import Lcg64, least_squares
 from .propagate import CoherenceSeries, monodromy_quasienergy, propagate_spin_half
@@ -57,16 +57,18 @@ def extract_frequency(series: CoherenceSeries) -> FrequencyEstimate:
     The sx channel carries a single spectral line, so a three-parameter
     model applies: the discrete spectrum peak seeds a nonlinear refinement.
     The series must start at the zero-phase point t = 0 (all generators in
-    this package do) and be uniformly sampled with at least 16 samples
-    (ValueError otherwise).  A series that spans fewer than 3 periods of its
-    line or resolves each period with fewer than 16 samples raises
-    NoOscillation.
+    this package do) and be uniformly sampled at increasing times with at
+    least 16 samples (ValueError otherwise).  A series that spans fewer than
+    3 periods of its line or resolves each period with fewer than 16 samples
+    raises NoOscillation.
     """
     t = np.asarray(series.times, dtype=float)
     y = np.asarray(series.sx, dtype=float)
     if t.size < 16:
         raise ValueError("need at least 16 samples")
     dt = np.diff(t)
+    if t[0] != 0.0 or not dt[0] > 0.0:
+        raise ValueError("series must start at t = 0 with increasing times")
     if not np.allclose(dt, dt[0], rtol=1e-9, atol=0.0):
         raise ValueError("series must be uniformly sampled")
     dt = float(dt[0])
@@ -386,25 +388,24 @@ def synthetic_calibration_data(
     noise: float = 0.0,
     seed: int = 0,
 ):
-    """Generate (omega0x_nominal, ratio) pairs from the precession-ratio model.
+    """Generate (omega0x_nominal, ratio) pairs from the fit's ratio model.
 
-    noise is the multiplicative 1-sigma level applied independently to the
-    dressed and undressed synthetic frequency measurements, drawn from the
-    seeded Lcg64 generator (see fitting.Lcg64); the ratio inherits both.
-    A grid point with no field at all (undressed frequency 0) has no ratio
-    and raises DegenerateData.
+    The dressed and undressed frequencies are the numerator and denominator
+    of calibrate's model at (scale, tilt, xi).  noise is the multiplicative
+    1-sigma level applied independently to each, drawn from the seeded Lcg64
+    generator (see fitting.Lcg64); the ratio inherits both.  A grid point
+    with no field at all (undressed frequency 0) has no ratio and raises
+    DegenerateData.
     """
+    w_nom = np.array([float(w) for w in omega0x_grid])
+    dressed, undressed = _ratio_model(w_nom, omega0z, (scale, tilt, xi))[:2]
     rng = Lcg64(seed)
     rows = []
-    for w_nom in omega0x_grid:
-        wx = float(w_nom) * scale
-        wz = omega0z + tilt * wx
-        dressed = bare_precession(wx, wz, xi)
-        undressed = math.hypot(wx, wz)
-        if undressed == 0.0:
-            raise DegenerateData(f"undressed frequency is 0 at omega0x = {float(w_nom):g} rad/s; no ratio is defined")
+    for w, num, den in zip(w_nom.tolist(), dressed.tolist(), undressed.tolist()):
+        if den == 0.0:
+            raise DegenerateData(f"undressed frequency is 0 at omega0x = {w:g} rad/s; no ratio is defined")
         if noise:
-            dressed *= 1.0 + noise * rng.normal()
-            undressed *= 1.0 + noise * rng.normal()
-        rows.append((float(w_nom), dressed / undressed))
+            num *= 1.0 + noise * rng.normal()
+            den *= 1.0 + noise * rng.normal()
+        rows.append((w, num / den))
     return rows

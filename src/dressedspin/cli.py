@@ -45,6 +45,10 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_FIT = 4
 
+# `calibrate --synthetic`: the truth (dressing parameter, field scale, tilt
+# fraction into z) and the multiplicative 1-sigma noise on each frequency.
+_SYNTHETIC_TRUTH = {"xi": 1.833, "scale": 1.0, "tilt": 0.03, "noise": 0.002}
+
 
 def _fmt(value) -> str:
     if value is None:
@@ -241,13 +245,7 @@ def cmd_calibrate(args) -> int:
     if args.synthetic:
         grid_khz = [1.5 * i for i in range(11)]  # 0..15 kHz nominal transverse field
         data = synthetic_calibration_data(
-            [w * _KHZ for w in grid_khz],
-            omega0z=omega0z,
-            xi=args.true_xi,
-            scale=args.true_scale,
-            tilt=args.true_tilt,
-            noise=args.noise,
-            seed=args.seed,
+            [w * _KHZ for w in grid_khz], omega0z=omega0z, seed=args.seed, **_SYNTHETIC_TRUTH
         )
     else:
         if args.data is None:
@@ -308,10 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--omega", type=float, default=None, help="drive frequency in kHz (checked, not used by the fit)")
     p.add_argument("--synthetic", action="store_true", help="generate seeded synthetic data instead")
     p.add_argument("--seed", type=int, default=0, help="seed for the synthetic noise generator")
-    p.add_argument("--noise", type=float, default=0.002, help="multiplicative noise level (synthetic)")
-    p.add_argument("--true-xi", type=float, default=1.833, dest="true_xi")
-    p.add_argument("--true-scale", type=float, default=1.0, dest="true_scale")
-    p.add_argument("--true-tilt", type=float, default=0.03, dest="true_tilt")
     p.set_defaults(func=cmd_calibrate)
     return parser
 

@@ -176,6 +176,10 @@ def validate(config: DriveConfiguration) -> DriveConfiguration:
                     "(a zero-harmonic term is a static field; use the [static] section)",
                 )
             )
+        elif comp.amplitude > 0.0 and comp.harmonic >= 200:  # bessel_j is accurate for n < 200
+            violations.append(
+                ("HarmonicTooLarge", f"{where}.harmonic must be < 200 for a driven component, got {comp.harmonic!r}")
+            )
         if not math.isfinite(comp.phase):
             violations.append(("NonFiniteValue", f"{where}.phase must be finite"))
 

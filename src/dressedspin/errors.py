@@ -11,7 +11,8 @@ class ConfigurationError(DressedSpinError):
     Carries every violation at once so callers can report them all.
     Each violation is a ``(code, message)`` pair; codes include
     ``NonPositiveDressingFrequency``, ``DuplicateTuningAxis``,
-    ``NegativeAmplitude``, ``ZeroHarmonicTuning`` and ``NonFiniteValue``.
+    ``NegativeAmplitude``, ``ZeroHarmonicTuning``, ``HarmonicTooLarge`` and
+    ``NonFiniteValue``.
     """
 
     def __init__(self, violations):

@@ -72,6 +72,9 @@ _GAUSS_NODES = np.array([0.5 - math.sqrt(15.0) / 10.0, 0.5, 0.5 + math.sqrt(15.0
 
 _PAULI = np.stack((PAULI_X, PAULI_Y, PAULI_Z))
 
+# Start state of every series: the +1 sigma_x eigenstate, <sigma>(0) = x_hat.
+_PSI0 = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
+
 
 @dataclass(frozen=True)
 class CoherenceSeries:
@@ -252,76 +255,52 @@ def _coherences_from_states(states):
     return sx, sy, sz, norms
 
 
-def _propagate(config, t_end, samples, psi0, m_norm=None):
-    """Step-halve until the sampled series settles AND the norm drift is
-    within _UNITARITY_DRIFT_LIMIT (relative to the initial norm); long runs
-    accumulate drift through the monodromy powers, so conservation is part
-    of the convergence criterion rather than an afterthought.  Given m_norm,
-    the series is a spin-one M = <sigma> with |M(0)| = m_norm, and the drift
-    is measured on |M| rather than on |psi|, against _BLOCH_NORM_TOL."""
+def _propagate(config, t_end, samples, bloch):
+    """Step-halve until the sampled series from _PSI0 settles AND the norm
+    drift is within _UNITARITY_DRIFT_LIMIT; long runs accumulate drift through
+    the monodromy powers, so conservation is part of the convergence
+    criterion rather than an afterthought.  With bloch, the series is a
+    spin-one M = <sigma>, and the drift is measured on |M| rather than on
+    |psi|, against _BLOCH_NORM_TOL.  |psi(0)| = |M(0)| = 1, so drift is the
+    distance of the norm from 1."""
     times = _sample_times(t_end, samples)
     bundle = dimensionless(config)
     taus = times * config.dressing.omega
-    norm0 = float(np.linalg.norm(psi0)) if m_norm is None else m_norm
 
     def run(steps):
-        sx, sy, sz, norms = _coherences_from_states(_sampled_series(bundle, taus, psi0, steps))
-        if m_norm is not None:
+        sx, sy, sz, norms = _coherences_from_states(_sampled_series(bundle, taus, _PSI0, steps))
+        if bloch:
             norms = np.sqrt(sx * sx + sy * sy + sz * sz)
-        drift = float(np.max(np.abs(norms / norm0 - 1.0)))
+        drift = float(np.max(np.abs(norms - 1.0)))
         return np.column_stack((sx, sy, sz)), drift, (times, sx, sy, sz)
 
-    drift_limit = _UNITARITY_DRIFT_LIMIT if m_norm is None else _BLOCH_NORM_TOL
+    drift_limit = _BLOCH_NORM_TOL if bloch else _UNITARITY_DRIFT_LIMIT
     return _refine(run, lambda cur: max(1.0, float(np.max(np.abs(cur)))), drift_limit, "series")
 
 
-def propagate_spin_half(
-    config: DriveConfiguration,
-    t_end: float,
-    samples: int,
-    initial=None,
-) -> CoherenceSeries:
+def propagate_spin_half(config: DriveConfiguration, t_end: float, samples: int) -> CoherenceSeries:
     """Integrate the two-level dynamics of the full drive and sample <sigma_j>(t).
 
-    initial defaults to the +1 sigma_x eigenstate; any unit 2-spinor is
-    accepted.  The state norm is monitored over the whole run and drift past
-    _UNITARITY_DRIFT_LIMIT raises UnitarityLost.
+    The spin starts in the +1 sigma_x eigenstate (1, 1)/sqrt(2), as in
+    analytic_coherences.  The state norm is monitored over the whole run and
+    drift past _UNITARITY_DRIFT_LIMIT raises UnitarityLost.
     """
-    if initial is None:
-        psi0 = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
-    else:
-        psi0 = np.asarray(initial, dtype=complex).reshape(2)
-        if abs(np.linalg.norm(psi0) - 1.0) > 1e-9:
-            raise ValueError("initial state must be a unit vector")
-    times, sx, sy, sz = _propagate(config, t_end, samples, psi0)
+    times, sx, sy, sz = _propagate(config, t_end, samples, bloch=False)
     return CoherenceSeries(times=times, sx=sx, sy=sy, sz=sz)
 
 
-def propagate_bloch_spin1(
-    config: DriveConfiguration,
-    t_end: float,
-    samples: int,
-    initial=None,
-) -> CoherenceSeries:
+def propagate_bloch_spin1(config: DriveConfiguration, t_end: float, samples: int) -> CoherenceSeries:
     """Sample the spin-one magnetisation M(t) of dM/dt = (drive field) x M.
 
-    Requires config.spin == "one".  M(t) = R(t) M(0), R the rotation image of
-    the spin-half propagator, is <sigma> of the spinor that starts as
-    sqrt(|M(0)|) times the +1 eigenstate of M(0).sigma.  |M(t)| must stay
-    within _BLOCH_NORM_TOL (1e-9) relative of |M(0)|; larger drift raises
-    UnitarityLost.
+    Requires config.spin == "one".  M starts along +x, M(0) = x_hat, as in
+    analytic_coherences.  M(t) = R(t) M(0), R the rotation image of the
+    spin-half propagator, is <sigma> of the spinor that starts as the +1
+    sigma_x eigenstate.  |M(t)| must stay within _BLOCH_NORM_TOL (1e-9) of 1;
+    larger drift raises UnitarityLost.
     """
     if config.spin != "one":
         raise ValueError("propagate_bloch_spin1 requires a spin='one' configuration")
-    if initial is None:
-        m0 = np.array([1.0, 0.0, 0.0])
-    else:
-        m0 = np.asarray(initial, dtype=float).reshape(3)
-    m_norm = float(np.linalg.norm(m0))
-    if not m_norm > 0.0:
-        raise ValueError("initial magnetisation must be nonzero")
-    psi0 = math.sqrt(m_norm) * np.linalg.eigh(np.tensordot(m0, _PAULI, 1))[1][:, 1]
-    times, mx, my, mz = _propagate(config, t_end, samples, psi0, m_norm)
+    times, mx, my, mz = _propagate(config, t_end, samples, bloch=True)
     return CoherenceSeries(times=times, sx=mx, sy=my, sz=mz)
 
 

@@ -1,6 +1,8 @@
+import argparse
 import math
 import os
 from pathlib import Path
+import re
 import shlex
 import subprocess
 import sys
@@ -85,6 +87,16 @@ def test_effective_field_at_harmonic_65_exits_0(capsys):
     cfg = str(Path(__file__).parent.parent / "configs" / "odd-harmonic.cfg")
     assert main(["effective-field", cfg, "--set", "tuning.0.harmonic=65"]) == 0
     assert "p1_norm_max" in capsys.readouterr().out
+
+
+def test_effective_field_harmonic_bound(capsys):
+    # p = 199 is the largest harmonic whose J_n orders all lie below bessel_j's
+    # accurate range n < 200; a larger one exits 2 before any series work
+    cfg = str(Path(__file__).parent.parent / "configs" / "odd-harmonic.cfg")
+    assert main(["effective-field", cfg, "--set", "tuning.0.harmonic=199"]) == 0
+    assert "p1_norm_max" in capsys.readouterr().out
+    assert main(["effective-field", cfg, "--set", "tuning.0.harmonic=100000"]) == 2
+    assert "HarmonicTooLarge" in capsys.readouterr().err
 
 
 def test_effective_field_zero_config(tmp_path, capsys):
@@ -441,3 +453,19 @@ def test_readme_cli_commands_parse():
     for argv in commands:
         args = cli.build_parser().parse_args(argv)
         assert args.func.__name__ == "cmd_" + argv[0].replace("-", "_")
+
+
+def test_every_cli_option_is_in_the_readme():
+    # each --option of each subcommand appears in README.md as a whole token,
+    # so --omega is not found inside --omega0z; argparse's own --help is exempt
+    text = README.read_text(encoding="utf-8")
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    missing = [
+        f"{command} {option}"
+        for command, parser in sub.choices.items()
+        for action in parser._actions
+        if not isinstance(action, argparse._HelpAction)
+        for option in action.option_strings
+        if option.startswith("--") and not re.search(rf"(?<![\w-]){re.escape(option)}(?![\w-])", text)
+    ]
+    assert missing == []

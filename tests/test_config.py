@@ -71,9 +71,25 @@ def test_validate_lists_a_non_finite_harmonic_with_the_other_violations(harmonic
         validate(cfg)
     assert err.value.codes() == ("NonPositiveDressingFrequency", "ZeroHarmonicTuning")
     assert f"tuning.0.harmonic must be an integer, got {harmonic!r}" in str(err.value)
-    # an integer too large for a float is still an integer
+    # an integer too large for a float is still an integer: it is too large a
+    # harmonic, not an OverflowError
     huge = TuningComponent(axis="y", amplitude=1.0, harmonic=10**400)
-    assert validate(cfg.replace(dressing=DressingField(omega_d=1.0, omega=5.0), tuning=(huge,))).tuning == (huge,)
+    with pytest.raises(ConfigurationError) as err:
+        validate(cfg.replace(dressing=DressingField(omega_d=1.0, omega=5.0), tuning=(huge,)))
+    assert err.value.codes() == ("HarmonicTooLarge",)
+
+
+def test_validate_bounds_a_driven_harmonic_below_200():
+    def config(amplitude, harmonic):
+        return make_config(10.0, tuning=(("y", amplitude, harmonic, 0.0),))
+
+    assert validate(config(1.0, 199))
+    assert validate(config(0.0, 10**6))  # an undriven component is inert
+    for harmonic in (200, 10**5, 2.0e5):
+        with pytest.raises(ConfigurationError) as err:
+            validate(config(1.0, harmonic))
+        assert err.value.codes() == ("HarmonicTooLarge",)
+        assert f"tuning.0.harmonic must be < 200 for a driven component, got {harmonic!r}" in str(err.value)
 
 
 def test_validate_idempotent():
