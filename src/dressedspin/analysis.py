@@ -186,9 +186,14 @@ class ScanResult:
 
 
 def _timeseries_omega(config, omega_ref):
-    """Propagate long enough to resolve omega_ref and fit the sx frequency."""
-    omega_ref = max(abs(omega_ref), 1e-3 * config.dressing.omega)
-    t_end = 8.0 * 2.0 * math.pi / omega_ref
+    """Propagate 8 periods of omega_ref and fit the sx frequency.
+
+    A reference of 0, or one so small that 8 periods are not a finite
+    time, raises NoOscillation.
+    """
+    t_end = 8.0 * 2.0 * math.pi / abs(omega_ref) if omega_ref else math.inf
+    if not t_end < math.inf:
+        raise NoOscillation(f"no finite 8-period window for a reference frequency of {omega_ref:g} rad/s")
     samples = 256
     series = propagate_spin_half(config, t_end, samples)
     return extract_frequency(series).omega_L

@@ -19,13 +19,17 @@ product of log2(N) rounds (Hillis & Steele 1986); each sample phase is
 reached by one batched partial step from the grid node below it.  N starts
 at ``_STEPS_PER_PERIOD`` and doubles at most ``_MAX_REFINEMENTS`` times
 (``_refine``, the one step-halving loop) until the result moves by at most
-``_REL_TOL`` of its scale with its norm drift in bounds; every doubling
+``_REL_TOL`` of its scale with its drift within ``_DRIFT_TOL``; every doubling
 changes every step.  No renormalisation is applied -- norm drift is the
 error diagnostic, not something to hide.
 
-Only the spin-half (SU(2)) propagator U is integrated.  The spin-one
-dynamics dM/dt = B x M is its rotation image R_ij = tr(sigma_i U sigma_j
-U^dagger)/2, so every spin-one result is derived from U.
+Only the spin-half (SU(2)) propagator U is integrated, and spin one is a
+view of it.  The spin-one magnetisation of dM/dt = B x M from M(0) = x_hat
+is M = <sigma> of the spinor U psi0 with <sigma>(0) = x_hat, and the Larmor
+frequency, its alias flag and the unitarity error are read from the same
+2x2 monodromy for both spins.  Every series has one drift measure,
+| |<sigma>| - 1 |, which is |psi|^2 - 1 and |M| - 1, and every result one
+bound on drift and unitarity error, ``_DRIFT_TOL``.
 
 All drive terms share the dressing period, so the propagator over one period
 (the monodromy matrix M) determines the evolution at any later time exactly:
@@ -39,7 +43,7 @@ import math
 import numpy as np
 
 from .config import TWO_PI, DriveConfiguration, dimensionless
-from .effective import PAULI_X, PAULI_Y, PAULI_Z, _dressing_frame_field, rectified_field
+from .effective import PAULI_X, _dressing_frame_field, rectified_field
 from .errors import NoConvergence, UnitarityLost
 
 __all__ = [
@@ -61,16 +65,12 @@ _STEPS_PER_PERIOD = 128
 _REL_TOL = 1e-10
 _MAX_REFINEMENTS = 6
 
-# Largest spin-half norm drift and monodromy unitarity error accepted.
-_UNITARITY_DRIFT_LIMIT = 1e-6
-
-# Spin-1 propagation is norm-conserving physics; drift beyond this is a bug.
-_BLOCH_NORM_TOL = 1e-9
+# Largest series drift | |<sigma>| - 1 | and monodromy unitarity error
+# accepted, for both spins.
+_DRIFT_TOL = 1e-9
 
 # Gauss-Legendre nodes of the Magnus step, as fractions of the step.
 _GAUSS_NODES = np.array([0.5 - math.sqrt(15.0) / 10.0, 0.5, 0.5 + math.sqrt(15.0) / 10.0])
-
-_PAULI = np.stack((PAULI_X, PAULI_Y, PAULI_Z))
 
 # Start state of every series: the +1 sigma_x eigenstate, <sigma>(0) = x_hat.
 _PSI0 = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
@@ -101,7 +101,9 @@ class QuasiEnergy:
     5 omega gives 3.693 against 5.693 omega; Shirley's Floquet matrix (Phys.
     Rev. 138, B979 (1965)) agrees with omega_L_numeric in both.
     alias_ambiguous marks eigenphases within 1e-3 of a branch edge (0 or pi),
-    where the folded values of neighbouring branches merge.
+    where the folded values of neighbouring branches merge, and
+    monodromy_unitarity_error is ||M^dagger M - I||_2 of the 2x2 monodromy
+    M.  All three fields are the same for both spins.
     """
 
     omega_L_numeric: float
@@ -112,11 +114,6 @@ class QuasiEnergy:
 def _mul(a, b):
     """Matrix products a[:, :, j] @ b[:, :, j] of (2, 2, n) stacks (n may broadcast)."""
     return (a[:, :, None] * b[None]).sum(axis=1)
-
-
-def _rotation(u):
-    """SO(3) image R_ij = tr(sigma_i U sigma_j U^dagger)/2 of a 2x2 propagator."""
-    return 0.5 * np.einsum("iab,jba->ij", _PAULI, u @ _PAULI @ u.conj().T).real
 
 
 def _cross(a, b):
@@ -185,13 +182,13 @@ def _integrate_targets(bundle, targets, steps):
     return np.moveaxis(_mul(rot, out), -1, 0)
 
 
-def _refine(run, scale, drift_limit, name):
+def _refine(run, scale, name):
     """The step-halving loop of every result of this module.
 
     run(steps) integrates at that many steps per period and returns (value,
     drift, result).  The steps double from _STEPS_PER_PERIOD at most
     _MAX_REFINEMENTS times; the first result whose value moved by at most
-    _REL_TOL * scale(value), with drift <= drift_limit, is returned.  Else a
+    _REL_TOL * scale(value), with drift <= _DRIFT_TOL, is returned.  Else a
     last drift out of bounds raises UnitarityLost, and NoConvergence if not.
     """
     steps = _STEPS_PER_PERIOD
@@ -201,12 +198,12 @@ def _refine(run, scale, drift_limit, name):
         steps *= 2
         value, drift, result = run(steps)
         err = float(np.max(np.abs(value - prev)))
-        if err <= _REL_TOL * scale(value) and drift <= drift_limit:
+        if err <= _REL_TOL * scale(value) and drift <= _DRIFT_TOL:
             return result
         prev = value
-    if drift > drift_limit:
+    if drift > _DRIFT_TOL:
         raise UnitarityLost(
-            f"{name} unitarity error {drift:.3e} exceeds {drift_limit:g} after "
+            f"{name} unitarity error {drift:.3e} exceeds {_DRIFT_TOL:g} after "
             f"{_MAX_REFINEMENTS} refinements ({steps} steps/period)"
         )
     raise NoConvergence(
@@ -246,62 +243,55 @@ def _sampled_series(bundle, taus, psi0, steps):
 
 
 def _coherences_from_states(states):
+    """<sigma> = (sx, sy, sz) of each state row."""
     a, b = states[:, 0], states[:, 1]
     cross = np.conj(a) * b
     sx = 2.0 * cross.real
     sy = 2.0 * cross.imag
     sz = (np.abs(a) ** 2 - np.abs(b) ** 2).real
-    norms = np.sqrt(np.abs(a) ** 2 + np.abs(b) ** 2)
-    return sx, sy, sz, norms
+    return sx, sy, sz
 
 
-def _propagate(config, t_end, samples, bloch):
-    """Step-halve until the sampled series from _PSI0 settles AND the norm
-    drift is within _UNITARITY_DRIFT_LIMIT; long runs accumulate drift through
-    the monodromy powers, so conservation is part of the convergence
-    criterion rather than an afterthought.  With bloch, the series is a
-    spin-one M = <sigma>, and the drift is measured on |M| rather than on
-    |psi|, against _BLOCH_NORM_TOL.  |psi(0)| = |M(0)| = 1, so drift is the
-    distance of the norm from 1."""
+def _propagate(config, t_end, samples):
+    """The sampled <sigma>(t) from _PSI0, step-halved until it settles AND its
+    drift | |<sigma>| - 1 | is within _DRIFT_TOL.  Long runs accumulate drift
+    through the monodromy powers, so conservation is part of the convergence
+    criterion rather than an afterthought.  |<sigma>| = |psi|^2, which for
+    spin one is |M|."""
     times = _sample_times(t_end, samples)
     bundle = dimensionless(config)
     taus = times * config.dressing.omega
 
     def run(steps):
-        sx, sy, sz, norms = _coherences_from_states(_sampled_series(bundle, taus, _PSI0, steps))
-        if bloch:
-            norms = np.sqrt(sx * sx + sy * sy + sz * sz)
-        drift = float(np.max(np.abs(norms - 1.0)))
-        return np.column_stack((sx, sy, sz)), drift, (times, sx, sy, sz)
+        sx, sy, sz = _coherences_from_states(_sampled_series(bundle, taus, _PSI0, steps))
+        drift = float(np.max(np.abs(np.sqrt(sx * sx + sy * sy + sz * sz) - 1.0)))
+        return np.column_stack((sx, sy, sz)), drift, CoherenceSeries(times, sx, sy, sz)
 
-    drift_limit = _BLOCH_NORM_TOL if bloch else _UNITARITY_DRIFT_LIMIT
-    return _refine(run, lambda cur: max(1.0, float(np.max(np.abs(cur)))), drift_limit, "series")
+    return _refine(run, lambda cur: max(1.0, float(np.max(np.abs(cur)))), "series")
 
 
 def propagate_spin_half(config: DriveConfiguration, t_end: float, samples: int) -> CoherenceSeries:
     """Integrate the two-level dynamics of the full drive and sample <sigma_j>(t).
 
     The spin starts in the +1 sigma_x eigenstate (1, 1)/sqrt(2), as in
-    analytic_coherences.  The state norm is monitored over the whole run and
-    drift past _UNITARITY_DRIFT_LIMIT raises UnitarityLost.
+    analytic_coherences.  The drift | |<sigma>| - 1 | is monitored over the
+    whole run, and drift past _DRIFT_TOL (1e-9) raises UnitarityLost.
     """
-    times, sx, sy, sz = _propagate(config, t_end, samples, bloch=False)
-    return CoherenceSeries(times=times, sx=sx, sy=sy, sz=sz)
+    return _propagate(config, t_end, samples)
 
 
 def propagate_bloch_spin1(config: DriveConfiguration, t_end: float, samples: int) -> CoherenceSeries:
     """Sample the spin-one magnetisation M(t) of dM/dt = (drive field) x M.
 
     Requires config.spin == "one".  M starts along +x, M(0) = x_hat, as in
-    analytic_coherences.  M(t) = R(t) M(0), R the rotation image of the
-    spin-half propagator, is <sigma> of the spinor that starts as the +1
-    sigma_x eigenstate.  |M(t)| must stay within _BLOCH_NORM_TOL (1e-9) of 1;
-    larger drift raises UnitarityLost.
+    analytic_coherences.  M(t) is <sigma> of the spin-half spinor that starts
+    as the +1 sigma_x eigenstate, so this is propagate_spin_half's series
+    under the same drift bound: |M(t)| must stay within _DRIFT_TOL (1e-9) of
+    1, and larger drift raises UnitarityLost.
     """
     if config.spin != "one":
         raise ValueError("propagate_bloch_spin1 requires a spin='one' configuration")
-    times, mx, my, mz = _propagate(config, t_end, samples, bloch=True)
-    return CoherenceSeries(times=times, sx=mx, sy=my, sz=mz)
+    return _propagate(config, t_end, samples)
 
 
 def _floquet_splitting(grid):
@@ -325,33 +315,26 @@ def monodromy_quasienergy(config: DriveConfiguration) -> QuasiEnergy:
     """Larmor frequency from the propagator over exactly one drive period.
 
     The dressing phase closes after one period, so the monodromy M is the
-    dressing-frame U~(2 pi).  Its eigenphases +-theta fix Omega_L only as
-    theta*omega/pi modulo 2 omega and up to sign (spin one: modulo omega);
-    step-halving refines until that folded value moves by at most
-    _REL_TOL * omega with a monodromy unitarity error within
-    _UNITARITY_DRIFT_LIMIT, and an error still past it after the last
-    refinement raises UnitarityLost.  The accepted grid then unfolds the
-    value by the Floquet modes (see QuasiEnergy), the same for both spins.
+    dressing-frame U~(2 pi), the same 2x2 matrix for both spins.  Its
+    eigenphases +-theta fix Omega_L only as theta*omega/pi modulo 2 omega
+    and up to sign; step-halving refines until that folded value moves by
+    at most _REL_TOL * omega with a monodromy unitarity error within
+    _DRIFT_TOL, and an error still past it after the last refinement raises
+    UnitarityLost.  The accepted grid then unfolds the value by the Floquet
+    modes (see QuasiEnergy).  The result does not depend on config.spin.
     """
     bundle = dimensionless(config)
     omega = config.dressing.omega
 
     def run(steps):
         grid = _grid(bundle, steps)
-        mono = grid[:, :, -1] if bundle.spin == "half" else _rotation(grid[:, :, -1])
-        gram = mono.conj().T @ mono
-        unit_err = float(np.linalg.norm(gram - np.eye(gram.shape[0]), 2))
-        angles = np.abs(np.angle(np.linalg.eigvals(mono)))
-        if bundle.spin == "half":
-            theta = float(np.mean(angles))  # phases come as ~(+t, -t)
-            om = theta * omega / math.pi
-        else:
-            theta = float(np.max(angles))  # spectrum {1, exp(+-i theta)}
-            om = theta * omega / TWO_PI
+        mono = grid[:, :, -1]
+        unit_err = float(np.linalg.norm(mono.conj().T @ mono - np.eye(2), 2))
+        theta = float(np.mean(np.abs(np.angle(np.linalg.eigvals(mono)))))  # phases come as ~(+t, -t)
         alias = theta < _ALIAS_TOL or math.pi - theta < _ALIAS_TOL
-        return om, unit_err, (grid, alias, unit_err)
+        return theta * omega / math.pi, unit_err, (grid, alias, unit_err)
 
-    grid, alias, unit_err = _refine(run, lambda om: omega, _UNITARITY_DRIFT_LIMIT, "monodromy")
+    grid, alias, unit_err = _refine(run, lambda om: omega, "monodromy")
     return QuasiEnergy(_floquet_splitting(grid) * omega, alias, unit_err)
 
 

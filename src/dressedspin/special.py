@@ -11,8 +11,9 @@ recurrence and follows one truncation rule, set by two private module
 constants read at call time: terms are added until the tau-independent
 envelope of the next level drops below ``_SERIES_ABS_TOL``; reaching
 ``_SERIES_MAX_TERMS`` levels first raises SeriesNotConverged.  g may stop
-only past level p - 1, so its cap grows to p levels for a harmonic p above
-``_SERIES_MAX_TERMS``.
+only past level p - 1 and past |xi|, so its cap grows to p levels for a
+harmonic p above ``_SERIES_MAX_TERMS``, and to the Miller seed of |xi|
+(past the levels where J_n(xi) is still large) from |xi| of about 15.
 
 Only tau varies along a P1 diagnostic, so the tau-independent work is
 memoised in two bounded least-recently-used caches:
@@ -151,9 +152,10 @@ def _g_coefficients(xi, p, Phi, abs_tol, max_terms):
     exp(i Phi)/2) and k = n - p (weight exp(-i Phi)/2) with c = weight *
     J_n/(i k); k = 0 (n = -p and n = +p) is the secular part and left out.
     The series may stop only past both resonant levels and |xi|, so its cap
-    of max_terms levels grows to p levels for a harmonic p above it.
+    of max_terms levels grows to p levels, and to the Miller seed of |xi|,
+    where J_n(xi) has long decayed (a NaN xi keeps max(max_terms, p)).
     """
-    cap = max(max_terms, p)
+    cap = max(max_terms, p, _miller_seed(abs(xi)) if math.isfinite(xi) else 0)
     past = max(abs(xi), p - 1)
     jn = _series_table(xi, past, cap + 1)
     eip = cmath.exp(1j * Phi)

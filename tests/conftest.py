@@ -55,12 +55,11 @@ def lab_frame():
         yield
 
 
-def fold(omega_l, step):
-    """omega_l modulo step and up to sign, in [0, step/2]: all that the
-    monodromy eigenphases fix of a Larmor frequency (step 2 omega for spin
-    half, omega for spin one)."""
-    r = math.fmod(omega_l, step)
-    return min(r, step - r)
+def fold(omega_l, omega):
+    """omega_l modulo 2 omega and up to sign, in [0, omega]: all that the
+    monodromy eigenphases fix of a Larmor frequency."""
+    r = math.fmod(omega_l, 2.0 * omega)
+    return min(r, 2.0 * omega - r)
 
 
 def bessel_series_oracle(n, x, terms=60):

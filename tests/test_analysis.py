@@ -208,11 +208,33 @@ def test_scan_timeseries_window_sized_from_monodromy():
         assert row.timeseries == pytest.approx(row.monodromy, rel=2e-3)
 
 
-def test_readme_xi_grid_row_below_the_window_floor_converges():
+def test_timeseries_window_has_no_floor():
+    # odd-harmonic at its numeric zero of Omega_L: the monodromy value is
+    # 3.4e-4 and 3.0e-4 of omega, and 8 of its periods make the window
+    # (seen: 2.0e-5 and 1.0e-3 from the monodromy value).  A window floored
+    # at 1e-3 omega was too short, and both rows failed with NoOscillation.
+    config = validate(load_config(CONFIGS / "odd-harmonic.cfg"))
+    spec = ScanSpec(swept="xi", grid=(3.4125, 3.415), base=config,
+                    methods=("perturbative", "monodromy", "timeseries"))
+    for row in run_scan(spec).rows:
+        assert row.errors == ()
+        assert row.monodromy < 1e-3 * config.dressing.omega
+        assert row.timeseries == pytest.approx(row.monodromy, rel=2e-3)
+
+
+@pytest.mark.parametrize("omega_ref", [0.0, -0.0, 1e-320, math.nan])
+def test_timeseries_without_a_finite_window_raises_no_oscillation(omega_ref):
+    # 8 periods of a zero, subnormal or NaN reference are no finite window:
+    # a typed error, which a scan row records as timeseries:NoOscillation
+    config = validate(load_config(CONFIGS / "odd-harmonic.cfg"))
+    with pytest.raises(NoOscillation, match="no finite 8-period window"):
+        _timeseries_omega(config, omega_ref)
+
+
+def test_readme_xi_grid_row_near_the_numeric_zero_converges():
     # Row 76 of the README odd-harmonic xi scan with all three methods
-    # (0.6 to 5, 120 points).  Omega_L is 0.0086 kHz, below the 1e-3 omega
-    # floor, so the window is 8 periods of 0.009 kHz: about 8,000 drive
-    # periods.  RK4 on a per-gap step layout never settled there
+    # (0.6 to 5, 120 points).  Omega_L is 0.0086 kHz, so the window is 8
+    # periods of it: about 8,000 drive periods.  RK4 on a per-gap step layout never settled there
     # (timeseries:NoConvergence, last change 4.7e-10 at 32,768 steps/period);
     # the Magnus grid settles and lands 1.2e-4 from the monodromy value.
     config = validate(load_config(CONFIGS / "odd-harmonic.cfg"))
@@ -245,7 +267,7 @@ def test_xi_scan_within_stated_bounds_of_lab_route():
     for row, ref, ok in zip(rows, lab, sized):
         assert row.errors == ()
         assert (row.perturbative, row.eta, row.p1_norm_max) == (ref.perturbative, ref.eta, ref.p1_norm_max)
-        assert abs(row.monodromy - fold(ref.monodromy, 2.0 * omega)) <= 1e-10 * omega
+        assert abs(row.monodromy - fold(ref.monodromy, omega)) <= 1e-10 * omega
         assert row.alias_ambiguous == ref.alias_ambiguous
         assert row.timeseries == pytest.approx(row.monodromy, rel=2e-3 if ok else 5e-2)
     # with the lab route's window (sized from first order) the fitted time

@@ -89,6 +89,26 @@ def test_effective_field_at_harmonic_65_exits_0(capsys):
     assert "p1_norm_max" in capsys.readouterr().out
 
 
+def test_effective_field_at_xi_37_8_exits_0(capsys):
+    # g's series must pass level |xi|; a cap of 64 levels raised
+    # SeriesNotConverged from xi = 37.5 on every tuned config, and this exited 3
+    cfg = str(Path(__file__).parent.parent / "configs" / "odd-harmonic.cfg")
+    assert main(["effective-field", cfg, "--set", "dressing.amplitude=340"]) == 0
+    assert "p1_norm_max" in capsys.readouterr().out
+
+
+def test_large_xi_scan_rows_carry_no_error_token(tmp_path):
+    # xi 36 -> 40: three of these rows were perturbative:SeriesNotConverged
+    cfg = str(Path(__file__).parent.parent / "configs" / "odd-harmonic.cfg")
+    out = tmp_path / "scan.csv"
+    assert main(["scan", cfg, "--sweep", "xi", "--from", "36", "--to", "40", "--points", "5",
+                 "--methods", "perturbative,monodromy", "--out", str(out)]) == 0
+    _, header, rows = _read_csv(out)
+    assert len(rows) == 5
+    assert all(row[header.index("error")] == "" for row in rows)
+    assert all(row[header.index("p1_norm_max")] != "" for row in rows)
+
+
 def test_effective_field_harmonic_bound(capsys):
     # p = 199 is the largest harmonic whose J_n orders all lie below bessel_j's
     # accurate range n < 200; a larger one exits 2 before any series work
@@ -469,3 +489,13 @@ def test_every_cli_option_is_in_the_readme():
         if option.startswith("--") and not re.search(rf"(?<![\w-]){re.escape(option)}(?![\w-])", text)
     ]
     assert missing == []
+
+
+def test_readme_library_example_runs():
+    # the README's Python block runs as written, so API drift fails here
+    section = README.read_text(encoding="utf-8").split("\n## Library example\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(compile(block, "README.md (Library example)", "exec"), namespace)
+    assert namespace["qe"].omega_L_numeric > 0.0
+    assert namespace["series"].times.size == 2048

@@ -181,15 +181,18 @@ _DEFAULT_RULE = (1e-12, 64)
 
 def test_series_not_converged(monkeypatch):
     # xi far beyond the term cap keeps the envelope above tolerance; the
-    # message reports the cap it used
+    # message reports the cap it used.  g's cap grows to the Miller seed of
+    # |xi| (104 levels at xi = 40), so only a tolerance of 0 stops it there
     _use_rule(monkeypatch, 1e-12, 8)
     with pytest.raises(SeriesNotConverged, match="f1 series: 8 levels"):
         f_aux(1, 1.0, 40.0)
-    with pytest.raises(SeriesNotConverged, match="g series: 8 levels"):
+    g_func(1.0, 40.0, 2, 0.0)  # converges
+    _use_rule(monkeypatch, 0.0, 8)
+    with pytest.raises(SeriesNotConverged, match="g series: 104 levels"):
         g_func(1.0, 40.0, 2, 0.0)
 
 
-def test_g_cap_grows_to_the_harmonic():
+def test_g_cap_grows_to_the_harmonic(monkeypatch):
     # g may stop only past level p - 1, so for a harmonic above the cap of 64
     # levels the cap grows to p levels.  At xi = 0 only J_0 = 1 is left:
     # g = (exp(i Phi)(exp(i p tau) - 1) - exp(-i Phi)(exp(-i p tau) - 1))/(2 i p)
@@ -199,13 +202,30 @@ def test_g_cap_grows_to_the_harmonic():
             want = (cmath.exp(1j * Phi) * (cmath.exp(1j * p * tau) - 1.0)
                     - cmath.exp(-1j * Phi) * (cmath.exp(-1j * p * tau) - 1.0)) / (2j * p)
             assert abs(g_func(tau, 0.0, p, Phi) - want) <= 1e-15
-    with pytest.raises(SeriesNotConverged, match="g series: 65 levels"):
-        g_func(1.0, 60.0, 65, 0.0)
+    _use_rule(monkeypatch, 0.0, 64)
+    with pytest.raises(SeriesNotConverged, match="g series: 171 levels"):
+        g_func(1.0, 0.0, 171, 0.0)
+
+
+@pytest.mark.parametrize("xi", [37.5, 40.0, 60.0, 80.0, -80.0])
+def test_g_cap_grows_with_xi(xi):
+    # g may stop only past level |xi|, where J_n(xi) is still large, so its
+    # cap grows with |xi| to the Miller seed, beyond which the orders read as
+    # zero: it converges where a cap of 64 levels raised, from xi = 37.5 on
+    assert special._miller_seed(abs(xi)) > special._SERIES_MAX_TERMS
+    for p in (1, 2, 3):
+        for tau in (0.4, 2.9):
+            assert abs(g_func(tau, xi, p, 0.3) - _per_order_g(tau, xi, p, 0.3, _DEFAULT_RULE)) <= 1e-14
 
 
 # Reference copies of the per-order routines: one full downward recurrence
 # per Bessel order, and one truncation loop per series.  The range form of
 # bessel_j and the shared truncation rule must reproduce them.
+
+
+def _seed(top):
+    m = int(top + 12.0 * max(4.0, top) ** (1.0 / 3.0)) + 22
+    return m + 1 if m % 2 else m
 
 
 def _per_order_bessel_j(n, x):
@@ -221,10 +241,7 @@ def _per_order_bessel_j(n, x):
     if x < 1e-7:
         t = (0.5 * x) ** n / math.factorial(n)
         return sign * t * (1.0 - 0.25 * x * x / (n + 1))
-    top = max(n, x)
-    m = int(top + 12.0 * max(4.0, top) ** (1.0 / 3.0)) + 22
-    if m % 2:
-        m += 1
+    m = _seed(max(n, x))
     jp, jc, target, norm = 0.0, 1.0, 0.0, 0.0
     for k in range(m, 0, -1):
         jm = (2.0 * k / x) * jc - jp
@@ -250,7 +267,7 @@ def _per_order_g(tau, xi, p, Phi, rule):
     emp = eip.conjugate()
     total = 0.0 + 0.0j
     min_level = max(p, int(abs(xi)) + 1)
-    for level in range(0, max_terms + 1):
+    for level in range(0, max(max_terms, p, _seed(abs(xi))) + 1):
         jn_abs = _per_order_bessel_j(level, xi)
         envelope = 0.0
         for n in (level,) if level == 0 else (level, -level):
@@ -384,13 +401,10 @@ def test_series_match_per_order_series_and_fail_on_the_same_cells(monkeypatch):
                         worst = max(worst, abs(got - ref))
     assert worst <= 1e-14
     assert raised > 0
-    # the default cap is reached by g at xi = 40 and 60
+    # under the default rule f1 still reaches its cap of 64 levels
     monkeypatch.undo()
-    for xi in (40.0, 60.0):
-        with pytest.raises(SeriesNotConverged):
-            g_func(1.0, xi, 2, 0.0)
-        with pytest.raises(SeriesNotConverged):
-            f_aux(3, 1.0, xi, 1, 0.0)
+    with pytest.raises(SeriesNotConverged, match="f1 series: 64 levels"):
+        f_aux(1, 1.0, 150.0)
 
 
 def test_series_at_nan_xi_raise_series_not_converged():
@@ -499,7 +513,7 @@ def test_series_not_converged_is_raised_on_every_call(monkeypatch):
     _clear_caches()
     for _ in range(3):
         with monkeypatch.context() as mp:
-            _use_rule(mp, 1e-12, 8)
+            _use_rule(mp, 0.0, 8)
             with pytest.raises(SeriesNotConverged):
                 g_func(1.0, 40.0, 2, 0.0)
         with pytest.raises(SeriesNotConverged):
@@ -547,11 +561,13 @@ def test_warm_series_follow_a_changed_truncation_rule(monkeypatch):
     assert (special._SERIES_ABS_TOL, special._SERIES_MAX_TERMS) == _DEFAULT_RULE
     _clear_caches()
     shipped = evaluate()
-    g_func(1.0, 30.0, 2, 0.0)  # converges under the shipped cap of 64 levels
+    g_func(1.0, 30.0, 2, 0.0)  # converges under the shipped rule
     _use_rule(monkeypatch, 1e-6, 20)
     warm = evaluate()
-    with pytest.raises(SeriesNotConverged, match="g series: 20 levels with envelope >= 1e-06"):
-        g_func(1.0, 30.0, 2, 0.0)
+    with monkeypatch.context() as mp:
+        _use_rule(mp, 0.0, 20)
+        with pytest.raises(SeriesNotConverged, match="g series: 90 levels with envelope >= 0"):
+            g_func(1.0, 30.0, 2, 0.0)
     _clear_caches()
     assert warm == evaluate() != shipped
     monkeypatch.undo()
