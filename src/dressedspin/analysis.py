@@ -18,7 +18,7 @@ from .config import DriveConfiguration, validate
 from .effective import floquet_first_order, rectified_field
 from .errors import DegenerateData, DressedSpinError, FitDiverged, NoOscillation
 from .fitting import Lcg64, least_squares
-from .propagate import CoherenceSeries, monodromy_quasienergy, propagate_spin_half
+from .propagate import CoherenceSeries, monodromy_quasienergies, propagate_series
 from .special import bessel_j
 
 __all__ = [
@@ -185,76 +185,104 @@ class ScanResult:
     rows: tuple
 
 
-def _timeseries_omega(config, omega_ref):
-    """Propagate 8 periods of omega_ref and fit the sx frequency.
+def _timeseries_omegas(configs, omega_refs):
+    """Propagate 8 periods of each omega_ref and fit each sx frequency.
 
-    A reference of 0, or one so small that 8 periods are not a finite
-    time, raises NoOscillation.
+    One batch of propagate_series over every point with a finite window,
+    then one fit per point.  Returns per point the fitted frequency or the
+    DressedSpinError it failed with; a reference of 0, or one so small that
+    8 periods are not a finite time, gives NoOscillation.
     """
-    t_end = 8.0 * 2.0 * math.pi / abs(omega_ref) if omega_ref else math.inf
-    if not t_end < math.inf:
-        raise NoOscillation(f"no finite 8-period window for a reference frequency of {omega_ref:g} rad/s")
-    samples = 256
-    series = propagate_spin_half(config, t_end, samples)
-    return extract_frequency(series).omega_L
-
-
-def _scan_point(spec: ScanSpec, value: float):
-    errors = []
-    row = {"value": value}
-    try:
-        config = spec.config_at(value)
-        validate(config)
-    except (DressedSpinError, ValueError) as exc:
-        return ScanRow(value=value, errors=(f"config:{type(exc).__name__}",))
-
-    pert = None
-    try:
-        field = rectified_field(config)
-        pert = field.omega_L
-        row["eta"] = field.eta
-        row["p1_norm_max"] = floquet_first_order(config).p1_norm_max
-    except DressedSpinError as exc:
-        errors.append(f"perturbative:{type(exc).__name__}")
-    if "perturbative" in spec.methods:
-        row["perturbative"] = pert
-
-    # the time-series window is sized from the monodromy value where there is
-    # one, else from first order
-    window_ref = pert if pert else 0.0
-    if "monodromy" in spec.methods:
+    out = [None] * len(configs)
+    windows = {}
+    for i, omega_ref in enumerate(omega_refs):
+        t_end = 8.0 * 2.0 * math.pi / abs(omega_ref) if omega_ref else math.inf
+        if t_end < math.inf:
+            windows[i] = t_end
+        else:
+            out[i] = NoOscillation(f"no finite 8-period window for a reference frequency of {omega_ref:g} rad/s")
+    batch = propagate_series([configs[i] for i in windows], list(windows.values()), 256)
+    for i, series in zip(windows, batch):
         try:
-            qe = monodromy_quasienergy(config)
-            row["monodromy"] = window_ref = qe.omega_L_numeric
-            row["alias_ambiguous"] = qe.alias_ambiguous
+            out[i] = series if isinstance(series, DressedSpinError) else extract_frequency(series).omega_L
         except DressedSpinError as exc:
-            errors.append(f"monodromy:{type(exc).__name__}")
+            out[i] = exc
+    return out
+
+
+def _scan_rows(spec: ScanSpec, values):
+    """The rows of `values`, a contiguous run of the grid.
+
+    The closed form and the P1 diagnostic run point by point; then one
+    batched monodromy pass and one batched time-series pass cover every
+    point whose configuration is valid.
+    """
+    rows = [{"value": value, "errors": []} for value in values]
+    valid, configs, window_refs = [], [], []
+    for row in rows:
+        try:
+            config = validate(spec.config_at(row["value"]))
+        except (DressedSpinError, ValueError) as exc:
+            row["errors"].append(f"config:{type(exc).__name__}")
+            continue
+        pert = None
+        try:
+            field = rectified_field(config)
+            pert = field.omega_L
+            row["eta"] = field.eta
+            row["p1_norm_max"] = floquet_first_order(config).p1_norm_max
+        except DressedSpinError as exc:
+            row["errors"].append(f"perturbative:{type(exc).__name__}")
+        if "perturbative" in spec.methods:
+            row["perturbative"] = pert
+        valid.append(row)
+        configs.append(config)
+        # the time-series window is sized from the monodromy value where
+        # there is one, else from first order
+        window_refs.append(pert if pert else 0.0)
+
+    if "monodromy" in spec.methods:
+        for i, qe in enumerate(monodromy_quasienergies(configs)):
+            if isinstance(qe, DressedSpinError):
+                valid[i]["errors"].append(f"monodromy:{type(qe).__name__}")
+            else:
+                valid[i]["monodromy"] = window_refs[i] = qe.omega_L_numeric
+                valid[i]["alias_ambiguous"] = qe.alias_ambiguous
 
     if "timeseries" in spec.methods:
-        try:
-            row["timeseries"] = _timeseries_omega(config, window_ref)
-        except DressedSpinError as exc:
-            errors.append(f"timeseries:{type(exc).__name__}")
+        for row, omega in zip(valid, _timeseries_omegas(configs, window_refs)):
+            if isinstance(omega, DressedSpinError):
+                row["errors"].append(f"timeseries:{type(omega).__name__}")
+            else:
+                row["timeseries"] = omega
 
-    return ScanRow(errors=tuple(errors), **row)
+    return [ScanRow(**dict(row, errors=tuple(row["errors"]))) for row in rows]
 
 
 def run_scan(spec: ScanSpec, jobs: int = 1) -> ScanResult:
     """Evaluate every grid point by every requested method.
 
-    Per-point failures are recorded as error tokens in the row and the scan
-    continues.  Every row is a pure function of (spec, value), so rows come
-    back alike in grid order regardless of jobs; the monodromy column is the
-    per-point Floquet-mode value of monodromy_quasienergy, not a value
-    unfolded along the grid.
+    The closed form runs point by point; the monodromy and the time-series
+    columns each run as one batched propagation pass over the grid, in
+    which every point refines on its own.  Per-point failures are recorded
+    as error tokens in the row and the scan continues.  Every row is a pure
+    function of (spec, value), equal field by field to the row of the
+    one-point scan at that value, so rows come back alike in grid order
+    regardless of jobs; jobs > 1 gives each worker process one contiguous
+    chunk of the grid, and each chunk is one batched pass.  The monodromy
+    column is the per-point Floquet-mode value of monodromy_quasienergy, not
+    a value unfolded along the grid.
     """
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_scan_point, [spec] * len(spec.grid), spec.grid))
+        n = len(spec.grid)
+        bounds = [n * k // jobs for k in range(jobs + 1)]
+        chunks = [spec.grid[lo:hi] for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
+        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+            rows = [row for part in pool.map(_scan_rows, [spec] * len(chunks), chunks) for row in part]
     else:
-        rows = [_scan_point(spec, v) for v in spec.grid]
+        rows = _scan_rows(spec, spec.grid)
     return ScanResult(spec=spec, rows=tuple(rows))
 
 

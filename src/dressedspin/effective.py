@@ -124,22 +124,38 @@ def bare_precession(omega0x: float, omega0z: float, xi: float) -> float:
     return math.hypot(omega0x, omega0z * bessel_j(0, xi))
 
 
-def _dressing_frame_field(bundle, taus):
-    """Field in the frame that follows the dressing rotation, as a (3, len(taus)) array.
+def _dressing_frame_field(bundles, taus):
+    """Field of each bundle in the frame that follows its dressing rotation.
 
-    With phi(tau) = xi sin(tau) and b(tau) the lab field without the dressing
+    taus has shape (..., len(bundles), n), one row of times per bundle, or a
+    shape that broadcasts to it, such as (n,) for times shared by every
+    bundle; the field is a (3, ..., len(bundles), n) array.  With
+    phi(tau) = xi sin(tau) and b(tau) the lab field without the dressing
     term, the rotation exp(+i phi sigma_x/2) turns b(tau) + xi cos(tau) x into
     (b_x, b_y cos phi + b_z sin phi, -b_y sin phi + b_z cos phi): the dressing
     term drops out exactly.  Units of omega.
     """
     taus = np.asarray(taus, dtype=float)
-    b = np.empty((3, taus.size))
-    b[:] = np.asarray(bundle.w0, dtype=float)[:, None]
-    for t in bundle.tuning:
-        b["xyz".index(t.axis)] += t.strength * np.cos(t.harmonic * taus + t.phase)
-    phi = bundle.xi * np.sin(taus)
+    shape = taus.shape[:-2] + (len(bundles), taus.shape[-1])
+    w0 = np.array([bundle.w0 for bundle in bundles], dtype=float).reshape(-1, 3)
+    b = np.empty((3,) + shape)
+    for a, axis in enumerate("xyz"):
+        b[a] = w0[:, a, None]
+        # at most one term per axis and bundle; a bundle without one keeps w0
+        terms = {i: t for i, bundle in enumerate(bundles) for t in bundle.tuning if t.axis == axis}
+        if terms:
+            strength, harmonic, phase = (
+                np.array([getattr(t, name) for t in terms.values()])[:, None] for name in ("strength", "harmonic", "phase")
+            )
+            rows = slice(None) if len(terms) == len(bundles) else list(terms)
+            b[a][..., rows, :] += strength * np.cos(harmonic * np.broadcast_to(taus, shape)[..., rows, :] + phase)
+    phi = np.array([bundle.xi for bundle in bundles], dtype=float)[:, None] * np.sin(taus)
     c, s = np.cos(phi), np.sin(phi)
-    return np.stack((b[0], b[1] * c + b[2] * s, b[2] * c - b[1] * s))
+    by, bz = b[1] * c, b[2] * c
+    by += b[2] * s
+    bz -= b[1] * s
+    b[1], b[2] = by, bz
+    return b
 
 
 def _p1_vector(bundle, tau):

@@ -7,12 +7,12 @@ from hypothesis import example, given, settings, strategies as st
 import numpy as np
 import pytest
 
-from dressedspin import analysis, special
+from dressedspin import analysis, propagate, special
 from dressedspin.analysis import (
     J0_FIRST_ROOT,
     ScanSpec,
     _invert_j0,
-    _timeseries_omega,
+    _timeseries_omegas,
     calibrate,
     extract_frequency,
     run_scan,
@@ -227,8 +227,9 @@ def test_timeseries_without_a_finite_window_raises_no_oscillation(omega_ref):
     # 8 periods of a zero, subnormal or NaN reference are no finite window:
     # a typed error, which a scan row records as timeseries:NoOscillation
     config = validate(load_config(CONFIGS / "odd-harmonic.cfg"))
-    with pytest.raises(NoOscillation, match="no finite 8-period window"):
-        _timeseries_omega(config, omega_ref)
+    (got,) = _timeseries_omegas([config], [omega_ref])
+    assert isinstance(got, NoOscillation)
+    assert str(got).startswith("no finite 8-period window")
 
 
 def test_readme_xi_grid_row_near_the_numeric_zero_converges():
@@ -263,7 +264,7 @@ def test_xi_scan_within_stated_bounds_of_lab_route():
     probe = [i for i in range(len(rows)) if sized[i]][::5]
     with lab_frame():
         lab = run_scan(replace(spec, methods=("perturbative", "monodromy"))).rows
-        lab_ts = [_timeseries_omega(spec.config_at(spec.grid[i]), rows[i].perturbative) for i in probe]
+        lab_ts = _timeseries_omegas([spec.config_at(spec.grid[i]) for i in probe], [rows[i].perturbative for i in probe])
     for row, ref, ok in zip(rows, lab, sized):
         assert row.errors == ()
         assert (row.perturbative, row.eta, row.p1_norm_max) == (ref.perturbative, ref.eta, ref.p1_norm_max)
@@ -273,8 +274,9 @@ def test_xi_scan_within_stated_bounds_of_lab_route():
     # with the lab route's window (sized from first order) the fitted time
     # series moves by no more than the monodromy
     assert len(probe) >= 3
-    for i, want in zip(probe, lab_ts):
-        assert abs(_timeseries_omega(spec.config_at(spec.grid[i]), rows[i].perturbative) - want) <= 1e-10 * omega
+    got = _timeseries_omegas([spec.config_at(spec.grid[i]) for i in probe], [rows[i].perturbative for i in probe])
+    for have, want in zip(got, lab_ts):
+        assert abs(have - want) <= 1e-10 * omega
 
 
 # xi = 0 and no tuning: U(tau) = exp(-i k tau n.sigma/2), so Omega_L is k omega
@@ -316,6 +318,82 @@ def test_scan_jobs_parallel_matches_serial():
     assert [r.monodromy for r in serial.rows] == [r.monodromy for r in parallel.rows]
     assert [r.alias_ambiguous for r in serial.rows] == [r.alias_ambiguous for r in parallel.rows]
     assert all(r.monodromy is not None for r in serial.rows)
+    assert serial.rows == parallel.rows
+
+
+# A strong static z field (25 kHz against a 9 kHz drive): xi = -1 is no
+# configuration, xi = 2.5 fits no line in its 8-period window, and from
+# xi = 1.5 the monodromy needs 512 steps per period, so with one refinement
+# it fails beside rows that converge.
+STRONG_Z = make_config(9.0, xi=1.0, w0_khz=(0, 0, 25.0), tuning=(("y", 4.97, 1, math.pi / 2),))
+ALL_METHODS = ("perturbative", "monodromy", "timeseries")
+
+
+def _equivalence_spec(case):
+    if case == "readme-xi":
+        config = validate(load_config(CONFIGS / "odd-harmonic.cfg"))
+        return ScanSpec(swept="xi", grid=tuple(np.linspace(0.6, 5.0, 24)), base=config, methods=ALL_METHODS)
+    if case == "phi":
+        config = validate(load_config(CONFIGS / "even-harmonic.cfg"))
+        return ScanSpec(swept="phi", grid=tuple(np.radians(np.linspace(0.0, 360.0, 13))), base=config,
+                        methods=("monodromy", "timeseries"))
+    if case == "omega0x":
+        config = validate(load_config(CONFIGS / "anisotropy.cfg"))
+        return ScanSpec(swept="omega0x", grid=tuple(np.linspace(0.0, 15.0, 11) * KHZ), base=config,
+                        methods=("monodromy", "timeseries"))
+    if case == "spin-one":
+        config = validate(apply_overrides(load_config(CONFIGS / "collapse.cfg"), ["spin=one"]))
+        return ScanSpec(swept="xi", grid=tuple(np.linspace(0.6, 5.0, 8)), base=config, methods=ALL_METHODS)
+    if case == "only-invalid":
+        return ScanSpec(swept="xi", grid=(-2.0, -1.0), base=STRONG_Z, methods=ALL_METHODS)
+    return ScanSpec(swept="xi", grid=(-1.0, 0.5, 1.25, 2.0, 2.5), base=STRONG_Z, methods=ALL_METHODS)
+
+
+@pytest.mark.parametrize(
+    "case, refinements",
+    [("readme-xi", 6), ("phi", 6), ("omega0x", 6), ("spin-one", 6), ("only-invalid", 6), ("mixed", 6), ("mixed", 1)],
+)
+def test_batched_scan_rows_equal_one_point_scans(case, refinements, monkeypatch):
+    # the batched passes give every row exactly the row of the scan of its
+    # value alone: values compared with ==, error tokens in order
+    monkeypatch.setattr(propagate, "_MAX_REFINEMENTS", refinements)
+    spec = _equivalence_spec(case)
+    rows = run_scan(spec).rows
+    assert [row.value for row in rows] == list(spec.grid)
+    for value, row in zip(spec.grid, rows):
+        (alone,) = run_scan(replace(spec, grid=(value,))).rows
+        assert row == alone
+    errors = [row.errors for row in rows]
+    if case == "mixed" and refinements == 6:
+        assert errors == [("config:ValueError",), (), (), (), ("timeseries:NoOscillation",)]
+    elif case == "mixed":
+        assert errors[:3] == [("config:ValueError",), (), ("timeseries:NoConvergence",)]
+        assert errors[3:] == [("monodromy:NoConvergence", "timeseries:NoConvergence")] * 2
+    elif case == "only-invalid":
+        assert errors == [("config:ValueError",)] * 2
+    else:
+        assert errors == [()] * len(rows)
+
+
+def test_scan_integrates_the_grid_in_batched_passes(monkeypatch):
+    # 20-point odd-harmonic xi scan, three methods: 83 point-levels (40 at
+    # 128 steps, 40 at 256, 3 at 512), which point by point took 83 _grid
+    # calls.  Batched, each level of each column takes one call per pass of
+    # up to _PASS_NODES // steps points: 3 + 5 for the monodromy, 3 + 5 + 2
+    # for the time series.
+    calls = []
+    grid = propagate._grid
+
+    def counting(bundles, steps):
+        calls.append((len(bundles), steps))
+        return grid(bundles, steps)
+
+    monkeypatch.setattr(propagate, "_grid", counting)
+    config = validate(load_config(CONFIGS / "odd-harmonic.cfg"))
+    run_scan(ScanSpec(swept="xi", grid=tuple(np.linspace(0.58, 4.98, 20)), base=config, methods=ALL_METHODS))
+    assert sum(points for points, _ in calls) == 83
+    assert len(calls) == 18
+    assert all(points <= max(1, propagate._PASS_NODES // steps) for points, steps in calls)
 
 
 CAL_GRID = tuple(w * KHZ for w in (0.0, 1.5, 3.0, 4.5, 6.0, 7.5, 9.0, 10.5, 12.0, 13.5, 15.0))

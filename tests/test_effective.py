@@ -215,7 +215,7 @@ def test_rectified_field_is_the_period_mean_of_the_dressing_frame_field(w0, axes
     bundle = dimensionless(cfg)
     p_max = max((t.harmonic for t in bundle.tuning), default=0)
     n = 4 * math.ceil(bundle.xi + p_max) + 64
-    mean = _dressing_frame_field(bundle, 2.0 * math.pi * np.arange(n) / n).mean(axis=1)
+    mean = _dressing_frame_field([bundle], 2.0 * math.pi * np.arange(n) / n)[:, 0].mean(axis=1)
     f = rectified_field(cfg)
     assert np.max(np.abs(mean - np.array([f.hx, f.hy, f.hz]) / cfg.dressing.omega)) <= 1e-15
 

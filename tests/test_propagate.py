@@ -109,7 +109,7 @@ def test_period_consistency():
     bundle = dimensionless(cfg)
     taus = np.array([1.0, TWO_PI, TWO_PI + 1.0, 2 * TWO_PI, 2 * TWO_PI + 1.0, 3 * TWO_PI])
     psi0 = np.array([1.0, 1.0j], dtype=complex) / math.sqrt(2.0)
-    got = propagate._sampled_series(bundle, taus, psi0, 512)
+    got = _series_states(bundle, taus, psi0, 512)
     want = _reference_su2_targets(bundle, taus, 4096) @ psi0
     assert np.max(np.abs(got - want)) <= 1e-12
 
@@ -121,11 +121,12 @@ def test_pure_dressing_is_the_frame_rotation():
     cfg = make_config(9.0, xi=2.4)
     bundle = dimensionless(cfg)
     xi = bundle.xi
-    u1, u2 = propagate._integrate_targets(bundle, [1.0, TWO_PI], propagate._STEPS_PER_PERIOD)
-    assert np.max(np.abs(u1 - expm(-0.5j * xi * math.sin(1.0) * PAULI_X))) <= 1e-15
-    assert np.array_equal(u2, np.eye(2))
+    frame = propagate._integrate_targets([bundle], np.array([[1.0, TWO_PI]]), propagate._STEPS_PER_PERIOD)
+    assert np.array_equal(frame, np.broadcast_to(np.eye(2)[:, :, None, None], frame.shape))
     psi0 = np.array([0.6, 0.8j])
-    assert np.array_equal(propagate._sampled_series(bundle, np.array([2 * TWO_PI]), psi0, 64), psi0[None])
+    state = _series_states(bundle, [1.0], psi0, propagate._STEPS_PER_PERIOD)[0]
+    assert np.max(np.abs(state - expm(-0.5j * xi * math.sin(1.0) * PAULI_X) @ psi0)) <= 1e-15
+    assert np.array_equal(_series_states(bundle, [2 * TWO_PI], psi0, 64), psi0[None])
 
 
 def test_collapse_quasienergy_tiny():
@@ -154,7 +155,7 @@ def test_drift_is_one_measure_for_both_spins(monkeypatch):
     # is |M| for spin one, is not
     assert propagate._DRIFT_TOL == 1e-9
     sampled = propagate._sampled_series
-    monkeypatch.setattr(propagate, "_sampled_series", lambda *args: sampled(*args) * (1.0 + 6e-10))
+    monkeypatch.setattr(propagate, "_sampled_series", lambda *plan: lambda *level: sampled(*plan)(*level) * (1.0 + 6e-10))
     for spin, run in (("half", propagate_spin_half), ("one", propagate_bloch_spin1)):
         with pytest.raises(UnitarityLost, match=r"series unitarity error 1\.2"):
             run(make_config(10.0, w0_khz=(0, 0, 2.0), spin=spin), 1e-3, 50)
@@ -176,6 +177,27 @@ def test_monodromy_no_convergence_raised(monkeypatch):
     monkeypatch.setattr(propagate, "_MAX_REFINEMENTS", 1)
     with pytest.raises(NoConvergence, match="after 1 refinements"):
         monodromy_quasienergy(make_config(9.0, xi=2.0, w0_khz=(0, 0, 2.040)))
+
+
+def test_batch_gives_each_point_its_own_result_or_error(monkeypatch):
+    # with one refinement, xi = 2 needs more steps than it gets and xi = 0.5
+    # does not: in one batch each gets what it gets alone, the error with
+    # its type and message
+    monkeypatch.setattr(propagate, "_MAX_REFINEMENTS", 1)
+    configs = [make_config(9.0, xi=xi, w0_khz=(0, 0, 25.0), tuning=(("y", 4.97, 1, math.pi / 2),)) for xi in (0.5, 2.0)]
+    for batch, single in (
+        (propagate.monodromy_quasienergies, monodromy_quasienergy),
+        (lambda cs: propagate.propagate_series(cs, [3e-4] * 2, 300), lambda c: propagate_spin_half(c, 3e-4, 300)),
+    ):
+        ok, failed = batch(configs)
+        alone = single(configs[0])
+        assert type(ok) is type(alone)
+        for name in alone.__dataclass_fields__:
+            assert np.array_equal(getattr(ok, name), getattr(alone, name))
+        with pytest.raises(NoConvergence) as raised:
+            single(configs[1])
+        assert type(failed) is NoConvergence
+        assert str(failed) == str(raised.value)
 
 
 @pytest.mark.parametrize("single, splitting", [(1, 0.0), (-1, 4.0)])
@@ -444,19 +466,47 @@ def _reference_integrate_targets(generator, targets, steps):
 
 def _reference_su2_targets(bundle, targets, steps):
     """RK4 in the dressing frame, then the rotation exp(-i phi sigma_x/2) back
-    to the lab frame.  Same signature as propagate._integrate_targets, and
-    unlike it takes targets past 2 pi."""
+    to the lab frame, at ascending targets, also past 2 pi, as an (n, 2, 2)
+    array: the one-bundle lab-frame propagators of _lab_targets."""
     mats = np.stack(_reference_integrate_targets(partial(_frame_generator_stack, bundle), targets, steps))
     angles = bundle.xi * np.sin(np.fmod(np.asarray(targets, dtype=float), TWO_PI))
     return expm(-0.5j * angles[:, None, None] * PAULI_X) @ mats
 
 
-def _reference_su2_grid(bundle, steps):
+def _reference_frame_grid(bundles, steps):
     """RK4 in the dressing frame to every grid node, one step per gap: same
-    signature and (2, 2, steps + 1) layout as propagate._grid."""
+    signature and (2, 2, len(bundles), steps + 1) layout as propagate._grid."""
     nodes = TWO_PI / steps * np.arange(steps + 1)
-    mats = _reference_integrate_targets(partial(_frame_generator_stack, bundle), nodes, steps)
-    return np.stack(mats, axis=-1)
+    return np.stack(
+        [np.stack(_reference_integrate_targets(partial(_frame_generator_stack, b), nodes, steps), axis=-1) for b in bundles],
+        axis=2,
+    )
+
+
+def _reference_frame_targets(bundles, targets, steps):
+    """RK4 in the dressing frame to each bundle's row of targets, taken in
+    ascending order: same signature and (2, 2, len(bundles), n) layout as
+    propagate._integrate_targets."""
+    out = []
+    for bundle, row in zip(bundles, targets):
+        ascending, inverse = np.unique(row, return_inverse=True)
+        mats = _reference_integrate_targets(partial(_frame_generator_stack, bundle), ascending, steps)
+        out.append(np.stack(mats, axis=-1)[:, :, inverse])
+    return np.stack(out, axis=2)
+
+
+def _lab_targets(bundle, targets, steps):
+    """propagate's dressing-frame propagators of one bundle at targets in
+    [0, 2 pi], rotated here to the lab frame, as an (n, 2, 2) array."""
+    targets = np.asarray(targets, dtype=float)
+    frame = propagate._integrate_targets([bundle], targets[None], steps)[:, :, 0]
+    angles = bundle.xi * np.sin(np.fmod(targets, TWO_PI))
+    return expm(-0.5j * angles[:, None, None] * PAULI_X) @ np.moveaxis(frame, -1, 0)
+
+
+def _series_states(bundle, taus, psi0, steps):
+    """propagate's sampled states of one bundle at taus and one step count, as an (n, 2) array."""
+    return propagate._sampled_series([bundle], np.asarray(taus, dtype=float)[None], psi0)(steps, np.arange(1))[0]
 
 
 def _reference_sampled_series(integrate, taus, psi0, steps):
@@ -536,8 +586,8 @@ def _rk4_route():
     """Within the block, every propagate entry point runs the RK4 oracle in
     place of the Magnus grid, under step-halving from 512 steps per period."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(propagate, "_integrate_targets", _reference_su2_targets)
-        mp.setattr(propagate, "_grid", _reference_su2_grid)
+        mp.setattr(propagate, "_integrate_targets", _reference_frame_targets)
+        mp.setattr(propagate, "_grid", _reference_frame_grid)
         mp.setattr(propagate, "_STEPS_PER_PERIOD", ORACLE_STEPS)
         yield
 
@@ -549,7 +599,7 @@ def test_integrate_targets_matches_per_gap_reference(spin):
     # tau = 0, a repeated target, targets inside the first step, on a grid
     # node (pi) and just past it, and 2 pi
     targets = [0.0, 0.0, 1e-5, 1e-5, math.pi, math.pi + 1e-4, 4.0, TWO_PI]
-    got = propagate._integrate_targets(bundle, targets, 4096)
+    got = _lab_targets(bundle, targets, 4096)
     if spin == "half":
         want = _reference_su2_targets(bundle, targets, 4096)
     else:
@@ -573,7 +623,7 @@ def test_sampled_series_no_farther_from_fine_reference(name):
     psi0 = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
     fine = _reference_sampled_series(lab, taus, psi0, 16384)
     for steps in (512, 2048):
-        new = np.max(np.abs(propagate._sampled_series(bundle, taus, psi0, steps) - fine))
+        new = np.max(np.abs(_series_states(bundle, taus, psi0, steps) - fine))
         old = np.max(np.abs(_reference_sampled_series(lab, taus, psi0, steps) - fine))
         assert new <= old + 1e-11
 
@@ -585,14 +635,14 @@ def test_sampled_series_matches_per_sample_reference(spin):
     taus = np.linspace(0.0, 5e-3, 301) * cfg.dressing.omega  # about 50 periods
     if spin == "half":
         psi0 = np.array([1.0, 1.0j], dtype=complex) / math.sqrt(2.0)
-        got = propagate._sampled_series(bundle, taus, psi0, 4096)
+        got = _series_states(bundle, taus, psi0, 4096)
         want = _reference_sampled_series(partial(_reference_su2_targets, bundle), taus, psi0, 4096)
         assert got.dtype == want.dtype
         assert np.max(np.abs(got - want)) <= SU2_STATE_ATOL
     else:
         # <sigma> of (sqrt(0.9), sqrt(0.1)) is M(0) = (0.6, 0, 0.8)
         psi0 = np.array([math.sqrt(0.9), math.sqrt(0.1)], dtype=complex)
-        states = propagate._sampled_series(bundle, taus, psi0, 4096)
+        states = _series_states(bundle, taus, psi0, 4096)
         got = np.column_stack(propagate._coherences_from_states(states))
         bloch = partial(_reference_integrate_targets, partial(_bloch_generator_stack, bundle))
         want = _reference_sampled_series(bloch, taus, np.array([0.6, 0.0, 0.8]), 4096)
@@ -609,8 +659,8 @@ def test_step_doubling_changes_dense_series(name):
     taus = np.linspace(0.0, 5e-3, 2048) * cfg.dressing.omega
     psi0 = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
     steps = propagate._STEPS_PER_PERIOD
-    coarse = propagate._sampled_series(bundle, taus, psi0, steps)
-    fine = propagate._sampled_series(bundle, taus, psi0, 2 * steps)
+    coarse = _series_states(bundle, taus, psi0, steps)
+    fine = _series_states(bundle, taus, psi0, 2 * steps)
     assert np.max(np.abs(coarse - fine)) > 0.0
 
 
@@ -655,8 +705,8 @@ def test_lab_bundle_generator_is_the_lab_generator():
     bundle = dimensionless(_shipped("odd-harmonic", "half"))
     taus = np.linspace(0.0, TWO_PI, 97)
     lab = lab_bundle(bundle)
-    assert np.max(np.abs(_dressing_frame_field(lab, taus).T - _lab_field(bundle, taus))) <= 1e-15
-    frame = np.einsum("ni,ijk->njk", _dressing_frame_field(bundle, taus).T, -0.5j * PAULI)
+    assert np.max(np.abs(_dressing_frame_field([lab], taus)[:, 0].T - _lab_field(bundle, taus))) <= 1e-15
+    frame = np.einsum("ni,ijk->njk", _dressing_frame_field([bundle], taus)[:, 0].T, -0.5j * PAULI)
     assert np.max(np.abs(frame - _frame_generator_stack(bundle, taus))) <= 1e-14
 
 
@@ -727,7 +777,7 @@ def _shirley_splitting(bundle):
     its strongest harmonic is the zeroth; their splitting is Omega_L/omega.
     """
     n = 512
-    c = np.fft.fft(_dressing_frame_field(bundle, TWO_PI / n * np.arange(n)), axis=-1) / n
+    c = np.fft.fft(_dressing_frame_field([bundle], TWO_PI / n * np.arange(n))[:, 0], axis=-1) / n
     p_max = max((t.harmonic for t in bundle.tuning), default=0)
     field_sum = sum(abs(w) for w in bundle.w0) + sum(abs(t.strength) for t in bundle.tuning)
     k = math.ceil(2.0 * abs(bundle.xi) + p_max + 4.0 * field_sum + 30.0)
