@@ -186,19 +186,24 @@ class ScanResult:
 
 
 def _timeseries_omegas(configs, omega_refs):
-    """Propagate 8 periods of each omega_ref and fit each sx frequency.
+    """Propagate about 8 periods of each omega_ref and fit each sx frequency.
 
-    One batch of propagate_series over every point with a finite window,
-    then one fit per point.  Returns per point the fitted frequency or the
-    DressedSpinError it failed with; a reference of 0, or one so small that
-    8 periods are not a finite time, gives NoOscillation.
+    A window whose 256 samples lie a drive period or more apart is cut down
+    to whole drive periods between samples, so the micromotion is the same
+    at every sample and cannot alias next to the Larmor line; cut down, not
+    rounded, so no spacing grows.  One batch of propagate_series over every
+    point with a finite window, then one fit per point.  Returns per point
+    the fitted frequency or the DressedSpinError it failed with; a reference
+    of 0, or one so small that 8 periods are not a finite time, gives
+    NoOscillation.
     """
     out = [None] * len(configs)
     windows = {}
     for i, omega_ref in enumerate(omega_refs):
         t_end = 8.0 * 2.0 * math.pi / abs(omega_ref) if omega_ref else math.inf
         if t_end < math.inf:
-            windows[i] = t_end
+            stride = 255.0 * 2.0 * math.pi / configs[i].dressing.omega  # samples one drive period apart
+            windows[i] = stride * math.floor(t_end / stride) or t_end
         else:
             out[i] = NoOscillation(f"no finite 8-period window for a reference frequency of {omega_ref:g} rad/s")
     batch = propagate_series([configs[i] for i in windows], list(windows.values()), 256)

@@ -36,7 +36,7 @@ from .errors import (
     DressedSpinError,
     FitDiverged,
 )
-from .propagate import analytic_coherences, propagate_spin_half, propagate_bloch_spin1
+from .propagate import analytic_coherences, propagate_spin_half
 
 CSV_SCHEMA = "dressedspin-csv v1"
 
@@ -138,10 +138,7 @@ def cmd_simulate(args) -> int:
     if args.method in ("analytic", "both"):
         series["an"] = analytic_coherences(config, args.t_end, args.samples)
     if args.method in ("numeric", "both"):
-        if config.spin == "one":
-            series["num"] = propagate_bloch_spin1(config, args.t_end, args.samples)
-        else:
-            series["num"] = propagate_spin_half(config, args.t_end, args.samples)
+        series["num"] = propagate_spin_half(config, args.t_end, args.samples)
     header = ["t_s"]
     columns = [next(iter(series.values())).times]
     for tag, s in series.items():

@@ -108,12 +108,12 @@ class TuningTerm:
 
 @dataclass(frozen=True)
 class DimensionlessBundle:
-    """Everything downstream modules need, in units of the dressing frequency."""
+    """The drive in units of the dressing frequency.  It has no spin: both
+    spins share the SU(2) dynamics, and only floquet_first_order reads config.spin."""
 
     xi: float
     w0: tuple  # (omega0x, omega0y, omega0z) / omega
     tuning: tuple  # of TuningTerm
-    spin: str
 
 
 def validate(config: DriveConfiguration) -> DriveConfiguration:
@@ -217,5 +217,4 @@ def dimensionless(config: DriveConfiguration) -> DimensionlessBundle:
             config.static.omega0z / w,
         ),
         tuning=terms,
-        spin=config.spin,
     )

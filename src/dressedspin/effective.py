@@ -196,7 +196,7 @@ def floquet_first_order(config: DriveConfiguration, tau_grid=None) -> FloquetFir
     field = rectified_field(config)
     w = config.dressing.omega
     hx, hy, hz = field.hx / w, field.hy / w, field.hz / w
-    if b.spin == "half":
+    if config.spin == "half":
         lambda1 = 0.5 * (hx * PAULI_X + hy * PAULI_Y + hz * PAULI_Z)
     else:
         lambda1 = hx * L_X + hy * L_Y + hz * L_Z
@@ -206,5 +206,5 @@ def floquet_first_order(config: DriveConfiguration, tau_grid=None) -> FloquetFir
     v_max = 0.0
     for tau in np.asarray(tau_grid, dtype=float):
         v_max = max(v_max, math.hypot(*_p1_vector(b, float(tau))))
-    p1_max = 0.5 * v_max if b.spin == "half" else v_max
+    p1_max = 0.5 * v_max if config.spin == "half" else v_max
     return FloquetFirstOrder(lambda1=lambda1, p1_norm_max=p1_max)

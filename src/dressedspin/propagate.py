@@ -15,10 +15,11 @@ three Gauss nodes (Blanes, Casas & Ros, BIT 40, 434 (2000)).  With
 A(a) = -i a.sigma/2, [A(a), A(b)] = A(a x b), so the Magnus exponent is a
 cross-product formula and its exponential is closed form, unitary to
 rounding.  One period is a uniform grid of N steps, combined in a prefix
-product of log2(N) rounds (Hillis & Steele 1986); each sample phase is
-reached by one batched partial step from the grid node below it.  N starts
-at ``_STEPS_PER_PERIOD`` and doubles at most ``_MAX_REFINEMENTS`` times
-(``_refine``, the one step-halving loop) until the result moves by at most
+product of log2(N) rounds (Hillis & Steele 1986); its last node is the
+monodromy, and each sample phase is reached by one batched partial step
+from the grid node below it.  N starts at ``_STEPS_PER_PERIOD`` and doubles
+at most ``_MAX_REFINEMENTS`` times (``_refine``, the one step-halving loop
+and the one caller of ``_grid``) until the result moves by at most
 ``_REL_TOL`` of its scale with its drift within ``_DRIFT_TOL``; every doubling
 changes every step.  No renormalisation is applied -- norm drift is the
 error diagnostic, not something to hide.
@@ -189,14 +190,14 @@ def _grid(bundles, steps):
     return grid
 
 
-def _integrate_targets(bundles, targets, steps):
+def _integrate_targets(bundles, targets, grid):
     """Dressing-frame propagators U~ at each target in [0, 2 pi] (up to rounding).
 
     targets holds one row per bundle; one partial Magnus step from the node
-    of _grid below each target.  Returns a (2, 2, len(bundles), n) stack.
+    of grid, the bundles' _grid, below each.  A (2, 2, len(bundles), n) stack.
     """
+    steps = grid.shape[-1] - 1
     h = TWO_PI / steps
-    grid = _grid(bundles, steps)
     # the node below each target; the clip keeps a rounding of -1e-14 at
     # tau = 0 from reading node -1, the whole-period propagator
     node = np.clip(np.floor(targets / h), 0, steps).astype(np.int64)
@@ -204,24 +205,23 @@ def _integrate_targets(bundles, targets, steps):
     return _mul(_magnus_steps(bundles, h * node, targets - h * node), below)
 
 
-def _refine(run, scale, name, points):
-    """The step-halving loop of every result of this module, over a batch of points.
+def _refine(bundles, run, name):
+    """The step-halving loop of every result of this module, and the one caller of _grid.
 
-    run(steps, rows) integrates the points `rows` (an index array) at that
-    many steps per period and returns their values and drifts, one row each,
-    and a function that builds the results of the rows at the positions it
-    is given.  Each point's steps double from _STEPS_PER_PERIOD at most
-    _MAX_REFINEMENTS times, and the point leaves the batch with its first
-    result whose value moved by at most _REL_TOL * scale(values, rows) with
-    drift <= _DRIFT_TOL.  A point still in the batch after the last
-    refinement gets UnitarityLost if its last drift is out of bounds, and
-    NoConvergence if not.  Each level runs in passes of at most
-    _PASS_NODES // steps points (at least one), so the working memory of a
-    pass does not grow with the batch.  Returns each point's result or
-    error, in order.
+    Each pass integrates the grid of its points `rows` (an index array)
+    once, and run(grid, rows) returns their values, tolerance scales and
+    drifts, one row each, and a function that builds the results of the rows
+    at the positions it is given.  Each point's steps double from
+    _STEPS_PER_PERIOD at most _MAX_REFINEMENTS times, and the point leaves
+    with its first result that moved by at most _REL_TOL * scale with drift
+    <= _DRIFT_TOL.  A point still in the batch after the last refinement
+    gets UnitarityLost if its last drift is out of bounds, and NoConvergence
+    if not.  A level runs in passes of at most _PASS_NODES // steps points
+    (at least one), so a pass's memory does not grow with the batch.
+    Returns each bundle's result or error, in order.
     """
-    out = [None] * points
-    rows = np.arange(points)
+    out = [None] * len(bundles)
+    rows = np.arange(len(bundles))
     for level in range(_MAX_REFINEMENTS + 1):
         if not rows.size:
             return out
@@ -230,10 +230,10 @@ def _refine(run, scale, name, points):
         passes = []
         for i in range(0, rows.size, size):
             part = rows[i : i + size]
-            values, part_drift, results = run(steps, part)
+            values, scale, part_drift, results = run(_grid([bundles[p] for p in part], steps), part)
             if level:
                 part_err = np.max(np.abs(values - prev[i : i + size]).reshape(part.size, -1), axis=1)
-                done = (part_err <= _REL_TOL * scale(values, part)) & (part_drift <= _DRIFT_TOL)
+                done = (part_err <= _REL_TOL * scale) & (part_drift <= _DRIFT_TOL)
             else:
                 part_err, done = np.full(part.size, math.inf), np.zeros(part.size, dtype=bool)
             for p, result in zip(part[done], results(np.flatnonzero(done))):
@@ -273,37 +273,37 @@ def _sample_times(t_end, samples):
 def _sampled_series(bundles, taus, psi0):
     """The states U(tau) psi0 of each bundle at its row of taus.
 
-    Returns at(steps, rows): the states of the points `rows` at that many
-    steps per period, as a (len(rows), n, 2) array.  With tau = 2 pi k + s,
-    each state is U(s) M^k psi0, where U(s) is one partial Magnus step from
-    the grid node below s, rotated back to the lab frame, and M = U(2 pi).
-    Only the grid and the partial steps depend on the steps; the phases s,
-    the period indices k and the rotation angle at each s are computed here
-    once.
+    Returns at(grid, rows): the states of the points `rows` from their
+    _grid, as a (len(rows), n, 2) array.  With tau = 2 pi k + s, each state
+    is U(s) M^k psi0, where U(s) is one partial Magnus step from the grid
+    node below s, rotated back to the lab frame, and M = U(2 pi) is the
+    grid's last node.  Only the partial steps and M change with the grid;
+    the phases s, the period indices k and the rotation angle at each s are
+    computed here once.
     """
     # s may round to just below 0 or just past 2 pi; the partial Magnus step
     # from the nearest grid node covers either
     ks = np.floor(taus / TWO_PI).astype(np.int64)
-    targets = np.concatenate((taus - TWO_PI * ks, np.full((len(bundles), 1), TWO_PI)), axis=1)
+    targets = taus - TWO_PI * ks
     # the rotation exp(-i phi sigma_x/2) back to the lab frame; tau mod 2 pi
     # makes it exactly the identity at whole periods instead of carrying the
     # rounding of sin(2 pi)
     half = 0.5 * np.array([bundle.xi for bundle in bundles], dtype=float)[:, None] * np.sin(np.mod(targets, TWO_PI))
     cos_half, sin_half = np.cos(half), np.sin(half)
 
-    def at(steps, rows):
+    def at(grid, rows):
         rot = cos_half[rows] * np.eye(2)[:, :, None, None] - 1j * sin_half[rows] * PAULI_X[:, :, None, None]
-        mats = _mul(rot, _integrate_targets([bundles[p] for p in rows], targets[rows], steps))
+        mats = _mul(rot, _integrate_targets([bundles[p] for p in rows], targets[rows], grid))
         # M^k psi0 from binary powers of M (powers of M commute, so the bits
         # of k may be applied in any order)
         k = ks[rows]
-        power = np.moveaxis(mats[..., -1], -1, 0)
+        power = np.moveaxis(grid[..., -1], -1, 0)
         mk_psi0 = np.broadcast_to(np.asarray(psi0, dtype=complex), k.shape + (2,))
         for bit in range(int(k.max(initial=0)).bit_length()):
             on = (k >> bit) & 1 == 1
             mk_psi0 = np.where(on[..., None], mk_psi0 @ power.transpose(0, 2, 1), mk_psi0)
             power = power @ power
-        return np.einsum("ijpn,pnj->pni", mats[..., :-1], mk_psi0)
+        return np.einsum("ijpn,pnj->pni", mats, mk_psi0)
 
     return at
 
@@ -334,19 +334,17 @@ def propagate_series(configs, t_ends, samples: int) -> list:
     taus = times * np.array([config.dressing.omega for config in configs], dtype=float)[:, None]
     series = _sampled_series(bundles, taus, _PSI0)
 
-    def run(steps, rows):
-        sx, sy, sz = _coherences_from_states(series(steps, rows))
+    def run(grid, rows):
+        sx, sy, sz = _coherences_from_states(series(grid, rows))
+        values = np.stack((sx, sy, sz), axis=-1)
         drift = np.max(np.abs(np.sqrt(sx * sx + sy * sy + sz * sz) - 1.0), axis=1)
 
         def results(done):
             return [CoherenceSeries(times[rows[i]], sx[i], sy[i], sz[i]) for i in done]
 
-        return np.stack((sx, sy, sz), axis=-1), drift, results
+        return values, np.maximum(1.0, np.max(np.abs(values), axis=(1, 2))), drift, results
 
-    def scale(values, rows):
-        return np.maximum(1.0, np.max(np.abs(values), axis=(1, 2)))
-
-    return _refine(run, scale, "series", len(bundles))
+    return _refine(bundles, run, "series")
 
 
 def propagate_spin_half(config: DriveConfiguration, t_end: float, samples: int) -> CoherenceSeries:
@@ -408,8 +406,7 @@ def monodromy_quasienergies(configs) -> list:
     bundles = [dimensionless(config) for config in configs]
     omegas = np.array([config.dressing.omega for config in configs], dtype=float)
 
-    def run(steps, rows):
-        grid = _grid([bundles[p] for p in rows], steps)
+    def run(grid, rows):
         mono = np.moveaxis(grid[..., -1], -1, 0)
         # ||M^dagger M - I||_2, the largest singular value
         unit_err = np.linalg.svd(mono.conj().transpose(0, 2, 1) @ mono - np.eye(2), compute_uv=False)[:, 0]
@@ -422,9 +419,9 @@ def monodromy_quasienergies(configs) -> list:
                 for i in done
             ]
 
-        return theta * omegas[rows] / math.pi, unit_err, results
+        return theta * omegas[rows] / math.pi, omegas[rows], unit_err, results
 
-    return _refine(run, lambda values, rows: omegas[rows], "monodromy", len(bundles))
+    return _refine(bundles, run, "monodromy")
 
 
 def monodromy_quasienergy(config: DriveConfiguration) -> QuasiEnergy:

@@ -196,7 +196,7 @@ def test_scan_timeseries_window_sized_from_monodromy():
     # first-order zero (xi = 3.46): first order is 3-40x off here, and a
     # window sized from it was too short (3.39, 3.40: NoOscillation) or too
     # long (3.46, 3.48: NoConvergence).  Sized from the monodromy value, the
-    # fit meets the bound of a well-sized window (seen: 1.2e-5 to 5.7e-5).
+    # fit meets the bound of a well-sized window (seen: 9e-14 to 4.2e-13).
     base = make_config(9.0, xi=1.0, w0_khz=(0, 0, 2.040), tuning=(("y", 4.97, 1, math.pi / 2),))
     spec = ScanSpec(
         swept="xi", grid=(3.39, 3.40, 3.46, 3.48), base=base, methods=("perturbative", "monodromy", "timeseries")
@@ -211,7 +211,7 @@ def test_scan_timeseries_window_sized_from_monodromy():
 def test_timeseries_window_has_no_floor():
     # odd-harmonic at its numeric zero of Omega_L: the monodromy value is
     # 3.4e-4 and 3.0e-4 of omega, and 8 of its periods make the window
-    # (seen: 2.0e-5 and 1.0e-3 from the monodromy value).  A window floored
+    # (seen: 4.3e-12 and 5.3e-12 from the monodromy value).  A window floored
     # at 1e-3 omega was too short, and both rows failed with NoOscillation.
     config = validate(load_config(CONFIGS / "odd-harmonic.cfg"))
     spec = ScanSpec(swept="xi", grid=(3.4125, 3.415), base=config,
@@ -220,6 +220,40 @@ def test_timeseries_window_has_no_floor():
         assert row.errors == ()
         assert row.monodromy < 1e-3 * config.dressing.omega
         assert row.timeseries == pytest.approx(row.monodromy, rel=2e-3)
+
+
+@pytest.mark.parametrize("strides, periods", [(2.7, 2), (1.5, 1), (0.6, 0)])
+def test_timeseries_window_is_cut_to_whole_drive_periods_per_sample(strides, periods, monkeypatch):
+    # 8 periods of the reference span `strides` windows whose 256 samples
+    # are one drive period T apart; the window is cut down, never rounded
+    # up, to a whole number of such windows, and left alone below one
+    config = validate(load_config(CONFIGS / "odd-harmonic.cfg"))
+    stride = 255.0 * 2.0 * math.pi / config.dressing.omega
+    omega_ref = 8.0 * 2.0 * math.pi / (strides * stride)
+    t_ends = []
+
+    def window(configs, ends, samples):
+        t_ends.extend(ends)
+        return [NoOscillation("not propagated")] * len(configs)
+
+    monkeypatch.setattr(analysis, "propagate_series", window)
+    _timeseries_omegas([config], [omega_ref])
+    assert t_ends == [pytest.approx(periods * stride if periods else 8.0 * 2.0 * math.pi / omega_ref, rel=1e-15)]
+
+
+def test_stroboscopic_windows_land_on_the_monodromy_value_in_the_dense_odd_harmonic_band():
+    # odd-harmonic xi 3.37 to 3.51 around the numeric zero of Omega_L: every
+    # window puts at least a drive period between samples.  Cut to whole
+    # drive periods per sample, the fit lands within 1e-9 of the monodromy
+    # value (seen: 3.8e-12).  Without the cut, at xi = 3.42 the samples lie
+    # 19.97 drive periods apart, the micromotion aliases into the FFT bins
+    # next to the Larmor line, and the fit lands 9.3e-3 away.
+    config = validate(load_config(CONFIGS / "odd-harmonic.cfg"))
+    spec = ScanSpec(swept="xi", grid=tuple(np.linspace(3.37, 3.51, 57)), base=config, methods=ALL_METHODS)
+    for row in run_scan(spec).rows:
+        assert row.errors == ()
+        assert 8.0 * config.dressing.omega / row.monodromy >= 255.0
+        assert row.timeseries == pytest.approx(row.monodromy, rel=1e-9)
 
 
 @pytest.mark.parametrize("omega_ref", [0.0, -0.0, 1e-320, math.nan])
@@ -237,7 +271,7 @@ def test_readme_xi_grid_row_near_the_numeric_zero_converges():
     # (0.6 to 5, 120 points).  Omega_L is 0.0086 kHz, so the window is 8
     # periods of it: about 8,000 drive periods.  RK4 on a per-gap step layout never settled there
     # (timeseries:NoConvergence, last change 4.7e-10 at 32,768 steps/period);
-    # the Magnus grid settles and lands 1.2e-4 from the monodromy value.
+    # the Magnus grid settles and lands 1.6e-12 from the monodromy value.
     config = validate(load_config(CONFIGS / "odd-harmonic.cfg"))
     spec = ScanSpec(swept="xi", grid=(0.6 + 76 * ((5.0 - 0.6) / 119),), base=config,
                     methods=("perturbative", "monodromy", "timeseries"))

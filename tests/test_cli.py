@@ -313,6 +313,24 @@ def test_simulate_spin_one(tmp_path):
     assert rms <= 0.02
 
 
+def test_simulate_spin_one_writes_the_spin_half_numeric_cells(tmp_path):
+    # the spin-one magnetisation is <sigma> of the spin-half spinor, so the
+    # numeric columns are the same text; only the bundle comment differs
+    cfg = _write(tmp_path, "even.cfg", EVEN_HARMONIC_CFG)
+    tables = {}
+    for spin in ("half", "one"):
+        out_csv = tmp_path / f"{spin}.csv"
+        assert main([
+            "simulate", cfg, "--set", f"spin={spin}", "--t-end", "0.005", "--samples", "512",
+            "--method", "numeric", "--out", str(out_csv),
+        ]) == 0
+        comments, header, rows = _read_csv(out_csv)
+        assert f"# spin = {spin}" in comments
+        assert header == ["t_s", "sx_num", "sy_num", "sz_num"]
+        tables[spin] = rows
+    assert tables["one"] == tables["half"]
+
+
 def test_calibrate_synthetic_seeded(capsys):
     assert main(["calibrate", "--omega0z", "5.979", "--omega", "30", "--synthetic",
                  "--seed", "42"]) == 0

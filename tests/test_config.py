@@ -109,7 +109,7 @@ def test_dimensionless_bundle():
     assert b.w0[2] == pytest.approx(0.204)
     assert b.tuning[0].strength == pytest.approx(0.223)
     assert b.tuning[0].harmonic == 2
-    assert b.spin == "half"
+    assert "spin" not in b.__dataclass_fields__  # the dynamics is the same for both spins
 
 
 def test_dimensionless_drops_inert_components():
@@ -179,7 +179,7 @@ def test_dimensionless_scale_invariance_property(w0, omega, omega_d, tuning, k, 
 
     b0, b = dimensionless(config(1.0)), dimensionless(config(k))
     assert dimensionless(config(2.0**-7)) == b0  # power-of-two scales are exact
-    assert (b.spin, len(b.tuning)) == (b0.spin, len(b0.tuning))
+    assert len(b.tuning) == len(b0.tuning)
     # (a*k)/(w*k) vs a/w: three roundings against one
     assert b.xi == pytest.approx(b0.xi, rel=1e-15, abs=0.0)
     assert b.w0 == pytest.approx(b0.w0, rel=1e-15, abs=0.0)

@@ -293,7 +293,7 @@ def _reference_p1_norm_max(config, taus):
             else:  # on z the roles of f3 and f4 swap
                 vy += t.strength * f_aux(4, tau, b.xi, m, ph)
                 vz += t.strength * f_aux(3, tau, b.xi, m, ph)
-        if b.spin == "half":
+        if config.spin == "half":
             mat = 0.5 * (vx * PAULI_X + vy * PAULI_Y + vz * PAULI_Z)
         else:
             mat = vx * L_X + vy * L_Y + vz * L_Z

@@ -121,7 +121,8 @@ def test_pure_dressing_is_the_frame_rotation():
     cfg = make_config(9.0, xi=2.4)
     bundle = dimensionless(cfg)
     xi = bundle.xi
-    frame = propagate._integrate_targets([bundle], np.array([[1.0, TWO_PI]]), propagate._STEPS_PER_PERIOD)
+    grid = propagate._grid([bundle], propagate._STEPS_PER_PERIOD)
+    frame = propagate._integrate_targets([bundle], np.array([[1.0, TWO_PI]]), grid)
     assert np.array_equal(frame, np.broadcast_to(np.eye(2)[:, :, None, None], frame.shape))
     psi0 = np.array([0.6, 0.8j])
     state = _series_states(bundle, [1.0], psi0, propagate._STEPS_PER_PERIOD)[0]
@@ -483,10 +484,11 @@ def _reference_frame_grid(bundles, steps):
     )
 
 
-def _reference_frame_targets(bundles, targets, steps):
+def _reference_frame_targets(bundles, targets, grid):
     """RK4 in the dressing frame to each bundle's row of targets, taken in
-    ascending order: same signature and (2, 2, len(bundles), n) layout as
-    propagate._integrate_targets."""
+    ascending order at the grid's steps per period: same signature and
+    (2, 2, len(bundles), n) layout as propagate._integrate_targets."""
+    steps = grid.shape[-1] - 1
     out = []
     for bundle, row in zip(bundles, targets):
         ascending, inverse = np.unique(row, return_inverse=True)
@@ -499,14 +501,15 @@ def _lab_targets(bundle, targets, steps):
     """propagate's dressing-frame propagators of one bundle at targets in
     [0, 2 pi], rotated here to the lab frame, as an (n, 2, 2) array."""
     targets = np.asarray(targets, dtype=float)
-    frame = propagate._integrate_targets([bundle], targets[None], steps)[:, :, 0]
+    frame = propagate._integrate_targets([bundle], targets[None], propagate._grid([bundle], steps))[:, :, 0]
     angles = bundle.xi * np.sin(np.fmod(targets, TWO_PI))
     return expm(-0.5j * angles[:, None, None] * PAULI_X) @ np.moveaxis(frame, -1, 0)
 
 
 def _series_states(bundle, taus, psi0, steps):
     """propagate's sampled states of one bundle at taus and one step count, as an (n, 2) array."""
-    return propagate._sampled_series([bundle], np.asarray(taus, dtype=float)[None], psi0)(steps, np.arange(1))[0]
+    at = propagate._sampled_series([bundle], np.asarray(taus, dtype=float)[None], psi0)
+    return at(propagate._grid([bundle], steps), np.arange(1))[0]
 
 
 def _reference_sampled_series(integrate, taus, psi0, steps):
