@@ -14,8 +14,8 @@ import math
 
 import numpy as np
 
-from .config import DriveConfiguration, validate
-from .effective import floquet_first_order, rectified_field
+from .config import DriveConfiguration, dimensionless, validate
+from .effective import _p1_norm_maxes, rectified_field
 from .errors import DegenerateData, DressedSpinError, FitDiverged, NoOscillation
 from .fitting import Lcg64, least_squares
 from .propagate import CoherenceSeries, monodromy_quasienergies, propagate_series
@@ -218,7 +218,7 @@ def _timeseries_omegas(configs, omega_refs):
 def _scan_rows(spec: ScanSpec, values):
     """The rows of `values`, a contiguous run of the grid.
 
-    The closed form and the P1 diagnostic run point by point; then one
+    The closed form runs point by point; then one batched P1 table, one
     batched monodromy pass and one batched time-series pass cover every
     point whose configuration is valid.
     """
@@ -230,21 +230,22 @@ def _scan_rows(spec: ScanSpec, values):
         except (DressedSpinError, ValueError) as exc:
             row["errors"].append(f"config:{type(exc).__name__}")
             continue
-        pert = None
-        try:
-            field = rectified_field(config)
-            pert = field.omega_L
-            row["eta"] = field.eta
-            row["p1_norm_max"] = floquet_first_order(config).p1_norm_max
-        except DressedSpinError as exc:
-            row["errors"].append(f"perturbative:{type(exc).__name__}")
+        field = rectified_field(config)
+        row["eta"] = field.eta
         if "perturbative" in spec.methods:
-            row["perturbative"] = pert
+            row["perturbative"] = field.omega_L
         valid.append(row)
         configs.append(config)
         # the time-series window is sized from the monodromy value where
         # there is one, else from first order
-        window_refs.append(pert if pert else 0.0)
+        window_refs.append(field.omega_L)
+
+    p1 = _p1_norm_maxes([dimensionless(config) for config in configs], [config.spin for config in configs])
+    for row, norm in zip(valid, p1):
+        if isinstance(norm, DressedSpinError):
+            row["errors"].append(f"perturbative:{type(norm).__name__}")
+        else:
+            row["p1_norm_max"] = norm
 
     if "monodromy" in spec.methods:
         for i, qe in enumerate(monodromy_quasienergies(configs)):
@@ -267,12 +268,13 @@ def _scan_rows(spec: ScanSpec, values):
 def run_scan(spec: ScanSpec, jobs: int = 1) -> ScanResult:
     """Evaluate every grid point by every requested method.
 
-    The closed form runs point by point; the monodromy and the time-series
-    columns each run as one batched propagation pass over the grid, in
-    which every point refines on its own.  Per-point failures are recorded
-    as error tokens in the row and the scan continues.  Every row is a pure
-    function of (spec, value), equal field by field to the row of the
-    one-point scan at that value, so rows come back alike in grid order
+    The closed form runs point by point; the P1 diagnostic is one batched
+    Fourier table over the grid (_p1_norm_maxes), and the monodromy and the
+    time-series columns each run as one batched propagation pass over the
+    grid, in which every point refines on its own.  Per-point failures are
+    recorded as error tokens in the row and the scan continues.  Every row
+    is a pure function of (spec, value), equal field by field to the row of
+    the one-point scan at that value, so rows come back alike in grid order
     regardless of jobs; jobs > 1 gives each worker process one contiguous
     chunk of the grid, and each chunk is one batched pass.  The monodromy
     column is the per-point Floquet-mode value of monodromy_quasienergy, not

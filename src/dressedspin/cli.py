@@ -26,9 +26,9 @@ from .analysis import (
     run_scan,
     synthetic_calibration_data,
 )
-from .config import validate
+from .config import dimensionless, validate
 from .configfile import _KHZ, apply_overrides, load_config
-from .effective import floquet_first_order, rectified_field
+from .effective import _p1_norm_maxes, rectified_field
 from .errors import (
     ConfigFileError,
     ConfigurationError,
@@ -107,14 +107,16 @@ def _load(args):
 def cmd_effective_field(args) -> int:
     config = _load(args)
     field = rectified_field(config)
-    flo = floquet_first_order(config)
+    p1 = _p1_norm_maxes([dimensionless(config)], [config.spin])[0]
+    if isinstance(p1, DressedSpinError):
+        raise p1
     print(f"xi                : {_fmt(config.xi())}")
     print(f"h_x/2pi (kHz)     : {_fmt(field.hx / _KHZ)}")
     print(f"h_y/2pi (kHz)     : {_fmt(field.hy / _KHZ)}")
     print(f"h_z/2pi (kHz)     : {_fmt(field.hz / _KHZ)}")
     print(f"Omega_L/2pi (kHz) : {_fmt(field.omega_L / _KHZ)}")
     print(f"eta               : {_fmt(field.eta)}")
-    print(f"p1_norm_max       : {_fmt(flo.p1_norm_max)}")
+    print(f"p1_norm_max       : {_fmt(p1)}")
     if field.eta > 0.3:
         print("warning: eta > 0.3, first-order results are not trustworthy here", file=sys.stderr)
     if args.csv is not None:
@@ -123,7 +125,7 @@ def cmd_effective_field(args) -> int:
             _bundle_comments(config),
             ["hx_kHz", "hy_kHz", "hz_kHz", "omega_L_kHz", "xi", "eta", "p1_norm_max"],
             [[field.hx / _KHZ, field.hy / _KHZ, field.hz / _KHZ, field.omega_L / _KHZ,
-              config.xi(), field.eta, flo.p1_norm_max]],
+              config.xi(), field.eta, p1]],
         )
     return EXIT_OK
 

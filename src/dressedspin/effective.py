@@ -17,6 +17,12 @@ Parity rule for a tuning component of amplitude A, harmonic m, phase Ph:
 
 Each rule follows from the period average of the rotated drive; the tests
 check all parity cells against direct quadrature of the generator.
+
+The periodic part P1, the integral of the rotated drive less h, sizes the
+micromotion that h leaves out.  It has two routes: floquet_first_order sums
+its Bessel series (f1..f4) one tau point at a time, and _p1_norm_maxes, which
+the scans and the CLI read, takes it for a whole batch of points from one FFT
+of the dressing-frame field.  Each route checks the other.
 """
 
 from dataclasses import dataclass
@@ -25,6 +31,7 @@ import math
 import numpy as np
 
 from .config import DriveConfiguration, dimensionless
+from .errors import SeriesNotConverged
 from .special import bessel_j, f_aux, g_func
 
 __all__ = [
@@ -50,6 +57,11 @@ PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 L_X = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
 L_Y = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
 L_Z = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+
+# The P1 table: samples per FFT pass (the points of a pass share them), and
+# the most samples per period one point may need (|xi| + p_max up to 16368).
+_P1_PASS_SAMPLES = 1 << 14
+_P1_MAX_SAMPLES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -179,6 +191,67 @@ def _p1_vector(bundle, tau):
     return vx, vy, vz
 
 
+def _p1_samples(bundle) -> int:
+    """Samples per period that resolve every harmonic of the bundle's
+    dressing-frame field: a power of two from 256 up, at least
+    4(|xi| + p_max) + 64.  The field's weight past harmonic |xi| + p_max
+    falls off like J_n(|xi|) past n = |xi|, so it is below rounding well
+    before the Nyquist bin at 2(|xi| + p_max) + 32."""
+    top = 4.0 * (abs(bundle.xi) + max((t.harmonic for t in bundle.tuning), default=0)) + 64.0
+    n = 256
+    while n < top:
+        n *= 2
+    return n
+
+
+def _p1_vectors(bundles, n):
+    """P1 = v.sigma/2 or v.L of each bundle at tau = 2 pi j/128, j = 0..127,
+    from n uniform samples of its dressing-frame field b~: a
+    (3, len(bundles), 128) array, in units of omega.
+
+    P1(tau) is the periodic part of the integral of b~: the sum over
+    m != 0 of C_m (exp(i m tau) - 1)/(i m), with C_m the Fourier
+    coefficients of b~.  n is a multiple of 128.
+    """
+    coef = np.fft.rfft(_dressing_frame_field(bundles, 2.0 * math.pi / n * np.arange(n)), axis=-1)
+    coef[..., 1:-1] /= 1j * np.arange(1, n // 2)
+    coef[..., 0] = coef[..., -1] = 0.0  # the mean (h) and the Nyquist bin
+    v = np.fft.irfft(coef, n, axis=-1)[..., :: n // 128]
+    return v - v[..., :1]
+
+
+def _p1_norm_maxes(bundles, spins):
+    """The P1 diagnostic of floquet_first_order on its default 129-point grid,
+    for a batch of bundles, from one FFT of their dressing-frame fields.
+
+    Points are grouped by their _p1_samples N and run through _p1_vectors in
+    passes of at most _P1_PASS_SAMPLES samples (one point at least), so each
+    value is a function of its own bundle alone and the memory does not grow
+    with the batch.  The 128 tau points of _p1_vectors are the default grid
+    (its last point, 2 pi, repeats tau = 0, where P1 = 0).  spins[i] is
+    "half" (norm |v|/2) or "one" (|v|).  Returns per bundle the float, or the
+    SeriesNotConverged of a field that needs more than _P1_MAX_SAMPLES
+    samples per period.
+    """
+    out = [None] * len(bundles)
+    sizes = [_p1_samples(bundle) for bundle in bundles]
+    for n in sorted(set(sizes)):
+        points = [i for i, size in enumerate(sizes) if size == n]
+        if n > _P1_MAX_SAMPLES:
+            for i in points:
+                out[i] = SeriesNotConverged(
+                    f"P1 table: xi={bundles[i].xi:g} needs {n} > {_P1_MAX_SAMPLES} samples per period"
+                )
+            continue
+        per_pass = max(1, _P1_PASS_SAMPLES // n)
+        for lo in range(0, len(points), per_pass):
+            part = points[lo : lo + per_pass]
+            v = _p1_vectors([bundles[i] for i in part], n)
+            for i, norm in zip(part, np.sqrt(np.sum(v * v, axis=0)).max(axis=-1).tolist()):
+                out[i] = 0.5 * norm if spins[i] == "half" else norm
+    return out
+
+
 def floquet_first_order(config: DriveConfiguration, tau_grid=None) -> FloquetFirstOrder:
     """Lambda1 built from the rectified field, plus the max norm of P1.
 
@@ -187,7 +260,9 @@ def floquet_first_order(config: DriveConfiguration, tau_grid=None) -> FloquetFir
     129 points over one period) from the periodic remainders f1..f4, and its
     largest spectral norm is returned as a size diagnostic for the
     exp(-i P1) ~ identity approximation.  P1 = v.sigma/2 or v.L, so that
-    norm is |v|/2 (spin half) or |v| (spin one).
+    norm is |v|/2 (spin half) or |v| (spin one).  The CLI reads the same
+    diagnostic from the batched Fourier table _p1_norm_maxes; this series
+    route is its independent check.
 
     When every field vanishes, Lambda1 = 0: its eigenbasis is unspecified
     (there is no precession axis), only the zero eigenvalues are meaningful.

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 import numpy as np
 import pytest
 
-from dressedspin import analysis, propagate, special
+from dressedspin import analysis, effective, propagate, special
 from dressedspin.analysis import (
     J0_FIRST_ROOT,
     ScanSpec,
@@ -19,7 +19,7 @@ from dressedspin.analysis import (
     synthetic_calibration_data,
 )
 from dressedspin.cli import _SYNTHETIC_TRUTH
-from dressedspin.config import validate
+from dressedspin.config import dimensionless, validate
 from dressedspin.configfile import apply_overrides, load_config
 from dressedspin.effective import bare_precession, larmor_frequency
 from dressedspin.errors import DegenerateData, FitDiverged, NoOscillation
@@ -407,6 +407,20 @@ def test_batched_scan_rows_equal_one_point_scans(case, refinements, monkeypatch)
         assert errors == [("config:ValueError",)] * 2
     else:
         assert errors == [()] * len(rows)
+
+
+def test_scan_rows_across_the_p1_table_edge_equal_one_point_scans():
+    # odd-harmonic (p = 1): the P1 table takes 256 samples per period up to
+    # xi = 47 and 512 past it, so this grid runs as two groups, each its own
+    # FFT pass; every row is still the row of its value alone
+    config = validate(apply_overrides(load_config(CONFIGS / "odd-harmonic.cfg"), ["spin=one"]))
+    spec = ScanSpec(swept="xi", grid=tuple(np.linspace(45.0, 49.0, 9)), base=config)
+    sizes = {effective._p1_samples(dimensionless(spec.config_at(v))) for v in spec.grid}
+    assert sizes == {256, 512}
+    rows = run_scan(spec).rows
+    for value, row in zip(spec.grid, rows):
+        assert row.errors == () and row.p1_norm_max > 0.0
+        assert run_scan(replace(spec, grid=(value,))).rows == (row,)
 
 
 def test_scan_integrates_the_grid_in_batched_passes(monkeypatch):

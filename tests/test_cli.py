@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import dressedspin
-from dressedspin import cli
+from dressedspin import cli, effective
 from dressedspin.cli import main
 from dressedspin.analysis import J0_FIRST_ROOT
 from dressedspin.errors import NoConvergence
@@ -107,6 +107,28 @@ def test_large_xi_scan_rows_carry_no_error_token(tmp_path):
     assert len(rows) == 5
     assert all(row[header.index("error")] == "" for row in rows)
     assert all(row[header.index("p1_norm_max")] != "" for row in rows)
+
+
+@pytest.mark.parametrize("spin", ["half", "one"])
+@pytest.mark.parametrize("name", ["anisotropy", "collapse", "even-harmonic", "odd-harmonic"])
+def test_effective_field_p1_cell_is_the_one_point_scan_cell(tmp_path, monkeypatch, name, spin):
+    # both commands read the batched P1 table; the series route of
+    # floquet_first_order is not called
+    def series(*args):
+        raise AssertionError("P1 series called")
+
+    monkeypatch.setattr(effective, "_p1_vector", series)
+    cfg = str(Path(__file__).parent.parent / "configs" / f"{name}.cfg")
+    eff, scan = tmp_path / "eff.csv", tmp_path / "scan.csv"
+    assert main(["effective-field", cfg, "--set", f"spin={spin}", "--csv", str(eff)]) == 0
+    _, header, (row,) = _read_csv(eff)
+    xi = float(row[header.index("xi")])
+    # a two-point scan whose first point is the config's xi
+    assert main(["scan", cfg, "--set", f"spin={spin}", "--sweep", "xi", "--from", repr(xi), "--to", repr(xi + 1.0),
+                 "--points", "2", "--out", str(scan)]) == 0
+    _, scan_header, scan_rows = _read_csv(scan)
+    assert float(scan_rows[0][0]) == xi
+    assert scan_rows[0][scan_header.index("p1_norm_max")] == row[header.index("p1_norm_max")]
 
 
 def test_effective_field_harmonic_bound(capsys):
@@ -427,7 +449,7 @@ def test_cli_import_loads_no_test_tool_or_process_pool():
     # what importing the CLI loads is the set-up cost of every command
     env = dict(os.environ, PYTHONPATH=str(Path(dressedspin.__file__).parents[1]))
     probe = "import sys, dressedspin.cli; print(' '.join(sorted(set(sys.argv[1:]) & set(sys.modules))))"
-    unwanted = ["scipy", "hypothesis", "pytest", "concurrent.futures"]
+    unwanted = ["scipy", "hypothesis", "pytest", "concurrent.futures", "numpy.fft"]
     proc = subprocess.run([sys.executable, "-c", probe, *unwanted], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == []

@@ -1,5 +1,7 @@
+from dataclasses import replace
 import math
 from pathlib import Path
+import tracemalloc
 
 from hypothesis import given, settings, strategies as st
 import numpy as np
@@ -16,14 +18,16 @@ from dressedspin.effective import (
     PAULI_Y,
     PAULI_Z,
     _dressing_frame_field,
+    _p1_norm_maxes,
     _p1_vector,
     bare_precession,
     floquet_first_order,
     larmor_frequency,
     rectified_field,
 )
-from dressedspin import special
+from dressedspin import effective, special
 from dressedspin.configfile import apply_overrides, load_config
+from dressedspin.errors import SeriesNotConverged
 from dressedspin.special import bessel_j, f_aux
 
 from conftest import KHZ, make_config
@@ -345,6 +349,80 @@ def test_p1_at_harmonics_past_64_matches_spectral_reference(p, xi):
     got = np.array([_p1_vector(bundle, float(t)) for t in taus]).T
     assert np.max(np.abs(got - want)) <= 1e-10 * scale
     assert floquet_first_order(cfg).p1_norm_max == pytest.approx(0.5 * scale, rel=1e-10)
+
+
+# The batched P1 table against the series route of floquet_first_order.  Over
+# xi 0..60 in steps of 0.25 on every shipped config the worst gap was
+# 3.6e-12 relative (even-harmonic, xi = 50.75); the table moved by at most
+# 8.8e-15 when its samples were raised eightfold, so the gap is the series'
+# truncation envelope, not the table's.
+P1_TABLE_RTOL = 1e-11
+CONFIG_DIR = Path(__file__).parent.parent / "configs"
+
+
+def _xi_configs(name, spin, xis):
+    base = apply_overrides(load_config(CONFIG_DIR / f"{name}.cfg"), [f"spin={spin}"])
+    return [replace(base, dressing=replace(base.dressing, omega_d=xi * base.dressing.omega)) for xi in xis]
+
+
+@pytest.mark.parametrize("spin", ["half", "one"])
+@pytest.mark.parametrize("name", ["anisotropy", "collapse", "even-harmonic", "odd-harmonic"])
+def test_p1_table_matches_series_to_xi_60(name, spin):
+    configs = _xi_configs(name, spin, [0.0, 0.7, 1.833, 2.405, 5.0, 12.3, 25.0, 37.8, 49.0, 50.75, 57.0, 60.0])
+    got = _p1_norm_maxes([dimensionless(c) for c in configs], [spin] * len(configs))
+    for config, value in zip(configs, got):
+        want = floquet_first_order(config).p1_norm_max
+        assert value == pytest.approx(want, rel=P1_TABLE_RTOL, abs=1e-300)
+
+
+def test_p1_table_is_converged_in_its_samples(monkeypatch):
+    configs = [c for name in ("even-harmonic", "odd-harmonic") for c in _xi_configs(name, "half", [1.833, 50.75, 60.0])]
+    bundles = [dimensionless(c) for c in configs]
+    got = _p1_norm_maxes(bundles, ["half"] * len(bundles))
+    samples = effective._p1_samples
+    monkeypatch.setattr(effective, "_p1_samples", lambda bundle: 8 * samples(bundle))
+    finer = _p1_norm_maxes(bundles, ["half"] * len(bundles))
+    np.testing.assert_allclose(got, finer, rtol=5e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("xi", [0.0, 1.833, 10.0])
+@pytest.mark.parametrize("p", [65, 100, 171])
+def test_p1_table_at_harmonics_past_64(p, xi):
+    # the configs of the series' spectral-reference test above (worst seen
+    # against the series: 1.4e-13 relative)
+    cfg = make_config(
+        9.0, xi=xi, w0_khz=(0.4, 0.3, 2.040), tuning=(("y", 40.0, p, 0.7), ("z", 25.0, p, 2.1), ("x", 5.0, p, 0.3))
+    )
+    bundle = dimensionless(cfg)
+    want = _spectral_p1_vectors(bundle, 2.0 * math.pi * np.arange(128) / 128)
+    got = effective._p1_vectors([bundle], effective._p1_samples(bundle))[:, 0]
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    half, one = _p1_norm_maxes([bundle, bundle], ["half", "one"])
+    assert half == pytest.approx(floquet_first_order(cfg).p1_norm_max, rel=P1_TABLE_RTOL)
+    assert one == 2.0 * half
+
+
+def test_p1_table_past_its_sample_cap_gives_series_not_converged():
+    # 4 (xi + p) + 64 > 65536 samples per period from xi + p = 16368 on
+    below, beyond = (dimensionless(c) for c in _xi_configs("odd-harmonic", "half", [16366.0, 16368.0]))
+    ok, err = _p1_norm_maxes([below, beyond], ["half", "half"])
+    assert isinstance(ok, float) and ok > 0.0
+    assert isinstance(err, SeriesNotConverged)
+    assert "65536" in str(err)
+
+
+def test_p1_table_memory_does_not_grow_with_the_batch():
+    # the table runs in passes of _P1_PASS_SAMPLES samples: ten times the
+    # points leave the peak of the traced allocations nearly where it was
+    # (1.24 MB at 120 points, 1.48 MB at 1,200; in one pass 2.2 and 22 MB)
+    peaks = []
+    for n in (120, 1200):
+        bundles = [dimensionless(c) for c in _xi_configs("odd-harmonic", "half", np.linspace(0.6, 5.0, n))]
+        tracemalloc.start()
+        _p1_norm_maxes(bundles, ["half"] * n)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] < 1.5 * peaks[0]
 
 
 def test_eta_diagnostic():
