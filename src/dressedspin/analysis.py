@@ -100,17 +100,19 @@ def extract_frequency(series: CoherenceSeries) -> FrequencyEstimate:
     if 2.0 * math.pi / omega0 < 16.0 * dt:
         raise NoOscillation("fewer than 16 samples per oscillation period")
 
-    def model_residuals(params):
-        c, a, om = params
-        return c + a * np.cos(om * t) - y
+    jac = np.empty((3, t.size))
+    jac[0] = 1.0
 
-    def model_jacobian(params):
-        _, a, om = params
-        cos_t = np.cos(om * t)
-        return np.column_stack([np.ones_like(t), cos_t, -a * t * np.sin(om * t)])
+    def normal(params):
+        c, a, om = params
+        phase = om * t
+        np.cos(phase, out=jac[1])
+        jac[2] = -a * t * np.sin(phase)
+        r = c + a * jac[1] - y
+        return float(r @ r), jac @ r, jac @ jac.T
 
     amp0 = float(np.max(centred) - np.min(centred)) / 2.0
-    fit = least_squares(model_residuals, [float(np.mean(y)), amp0, omega0], model_jacobian)
+    fit = least_squares(normal, [float(np.mean(y)), amp0, omega0], t.size)
     if not fit.converged or not np.all(np.isfinite(fit.params)):
         raise FitDiverged("offset+cosine refinement did not converge")
     omega_fit = abs(float(fit.params[2]))
@@ -361,11 +363,18 @@ def calibrate(ratio_data, omega0z: float) -> CalibrationFit:
     The fit starts from scale 1, tilt 0 and the xi in [0, J0_FIRST_ROOT]
     with J0(xi) equal to the zero-field ratio (clipped to 1), found by a
     bracketed Newton iteration; a ratio below J0 of the pinned root starts
-    at the root.  The fit stops at a relative step of 1e-10, so its last
-    digits depend on the start: from a start bisected to 1e-12 instead, the
-    fitted values agree within 1e-6 of each 1-sigma error (tested over 200
-    seeded synthetic data sets).
+    at the root.  Each trial step of the fit costs one evaluation of the
+    ratio model, which gives the residuals and their three Jacobian columns
+    together.  The fit stops when the first step it proposes in an iteration
+    is below 1e-10 relative to the parameters (fitting.least_squares), so
+    its last digits depend on the start: from a start bisected to 1e-12
+    instead, the fitted values agree within 1e-6 of each 1-sigma error
+    (tested over 200 seeded synthetic data sets).  A non-finite omega0z
+    raises DegenerateData, and so does a zero-field row when omega0z = 0,
+    since it has no undressed precession.
     """
+    if not math.isfinite(omega0z):
+        raise DegenerateData(f"omega0z must be finite, got {omega0z:g} rad/s")
     data = [(float(w), float(r)) for w, r in ratio_data]
     if len(data) < 5:
         raise DegenerateData(f"need at least 5 data points, got {len(data)}")
@@ -377,18 +386,18 @@ def calibrate(ratio_data, omega0z: float) -> CalibrationFit:
         raise DegenerateData("all omega0x values equal; scale and tilt are unidentifiable")
     if np.any(ratios <= 0.0):
         raise DegenerateData("ratios must be positive")
+    if omega0z == 0.0 and np.any(wx == 0.0):
+        row = int(np.argmax(wx == 0.0)) + 1
+        raise DegenerateData(f"undressed frequency is 0 at data row {row} (omega0x = omega0z = 0); no ratio is defined")
 
     # initial guesses: invert J0 on [0, first root] at the zero-field point
     i0 = int(np.argmin(np.abs(wx)))
     xi0 = _invert_j0(min(float(ratios[i0]), 1.0))
 
-    def residuals(params):
-        num, den = _ratio_model(wx, omega0z, params)[:2]
-        return num / den - ratios
-
-    def jacobian(params):
+    def normal(params):
         scale, tilt, xi = params
         num, den, wxs, wzs, j0, j1 = _ratio_model(wx, omega0z, params)
+        r = num / den - ratios
         dnum_dscale = (wxs * wx + wzs * (tilt * wx) * j0 * j0) / num
         dden_dscale = (wxs * wx + wzs * (tilt * wx)) / den
         dnum_dtilt = wzs * wxs * j0 * j0 / num
@@ -397,9 +406,10 @@ def calibrate(ratio_data, omega0z: float) -> CalibrationFit:
         col_scale = (dnum_dscale * den - num * dden_dscale) / (den * den)
         col_tilt = (dnum_dtilt * den - num * dden_dtilt) / (den * den)
         col_xi = dnum_dxi / den
-        return np.column_stack([col_scale, col_tilt, col_xi])
+        jac = np.array([col_scale, col_tilt, col_xi])
+        return float(r @ r), jac @ r, jac @ jac.T
 
-    fit = least_squares(residuals, [1.0, 0.0, xi0], jacobian)
+    fit = least_squares(normal, [1.0, 0.0, xi0], wx.size)
     if not fit.converged:
         raise FitDiverged(f"calibration fit did not converge after {fit.iterations} iterations")
     scale, tilt, xi = (float(v) for v in fit.params)

@@ -4,7 +4,8 @@ root finding, and the seeded noise generator used for synthetic data.
 The fits in this package are low-dimensional and smooth, so a damped
 Gauss-Newton iteration (Levenberg-Marquardt style damping schedule) is
 plenty: solve (J^T J + lambda diag(J^T J)) delta = -J^T r, grow lambda on
-rejected steps, shrink it on accepted ones, stop when the relative step
+rejected steps, shrink it on accepted ones, and, as MINPACK does (More,
+LNM 630, 1978), stop when the step proposed at the carried-over lambda
 drops below ``_STEP_TOL`` or after ``_MAX_ITER`` iterations.  Both are
 private module constants read at call time, not arguments.
 """
@@ -33,55 +34,57 @@ class FitResult:
     converged: bool
 
 
-def least_squares(residuals, x0, jacobian) -> FitResult:
-    """Minimise 0.5*||residuals(x)||^2 by damped Gauss-Newton.
+def least_squares(normal, x0, rows) -> FitResult:
+    """Minimise 0.5*||r(x)||^2 by damped Gauss-Newton.
 
-    jacobian(x) returns the m-by-n residual Jacobian.  Convergence: relative
-    step below _STEP_TOL (or the cost already exactly zero); running out of
-    iterations or failing to find a descent step returns converged=False.
+    normal(x) returns (r.r, J^T r, J^T J) at x for the `rows` residuals r
+    and their rows-by-n Jacobian J; it is called once per trial step.  A
+    trial is accepted when its r.r is finite and not above the current
+    one.  Convergence: the first step proposed in an iteration is below
+    _STEP_TOL relative to x (that step is not evaluated), or the cost is
+    exactly zero.  A step that is small only because rejected trials grew
+    lambda does not count.  Running out of iterations or failing to find
+    a descent step returns converged=False.  The covariance is built from
+    J^T J at the returned parameters.
     """
     x = np.asarray(x0, dtype=float).copy()
-    r = np.asarray(residuals(x), dtype=float)
-    if not np.all(np.isfinite(r)):
+    rr, jtr, jtj = normal(x)
+    if not math.isfinite(rr):
         raise FitDiverged("residuals not finite at the initial guess")
-    cost = 0.5 * float(r @ r)
     lam = 1e-3
     converged = False
     it = 0
     for it in range(1, _MAX_ITER + 1):
-        jac = np.asarray(jacobian(x))
-        grad = jac.T @ r
-        jtj = jac.T @ jac
         diag = np.diag(jtj).copy()
         diag[diag <= 0.0] = 1.0
+        x_norm = float(np.linalg.norm(x)) + 1e-300
 
         accepted = False
-        for _ in range(40):
+        for attempt in range(40):
             try:
-                delta = np.linalg.solve(jtj + lam * np.diag(diag), -grad)
+                delta = np.linalg.solve(jtj + lam * np.diag(diag), -jtr)
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
+            if attempt == 0 and float(np.linalg.norm(delta)) / x_norm < _STEP_TOL:
+                converged = True
+                break
             x_new = x + delta
-            r_new = np.asarray(residuals(x_new), dtype=float)
-            cost_new = 0.5 * float(r_new @ r_new)
-            if np.all(np.isfinite(r_new)) and cost_new <= cost:
+            rr_new, jtr_new, jtj_new = normal(x_new)
+            if math.isfinite(rr_new) and rr_new <= rr:
                 accepted = True
                 break
             lam *= 10.0
         if not accepted:
             break
-        step = float(np.linalg.norm(delta)) / (float(np.linalg.norm(x)) + 1e-300)
-        x, r, cost = x_new, r_new, cost_new
+        x, rr, jtr, jtj = x_new, rr_new, jtr_new, jtj_new
         lam = max(lam / 3.0, 1e-14)
-        if step < _STEP_TOL or cost == 0.0:
+        if rr == 0.0:
             converged = True
             break
 
-    jac = np.asarray(jacobian(x))
-    jtj = jac.T @ jac
-    dof = max(r.size - x.size, 1)
-    sigma2 = 2.0 * cost / dof
+    dof = max(rows - x.size, 1)
+    sigma2 = rr / dof
     try:
         cov = sigma2 * np.linalg.inv(jtj)
     except np.linalg.LinAlgError:
@@ -89,7 +92,7 @@ def least_squares(residuals, x0, jacobian) -> FitResult:
     return FitResult(
         params=x,
         covariance=cov,
-        residual_norm=math.sqrt(2.0 * cost),
+        residual_norm=math.sqrt(rr),
         iterations=it,
         converged=converged,
     )

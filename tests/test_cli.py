@@ -369,6 +369,25 @@ def test_calibrate_synthetic_without_field_exits_4(capsys):
     assert "undressed frequency is 0" in err
 
 
+def test_calibrate_zero_field_row_without_omega0z_exits_4(tmp_path, capsys):
+    # with omega0z = 0 the 0 kHz row has no undressed precession: it is named
+    # before the fit instead of divided by (no RuntimeWarning)
+    data = tmp_path / "ratios.csv"
+    data.write_text("omega0x_kHz,ratio\n2,0.4\n0,0.32\n4,0.6\n6,0.75\n8,0.82\n10,0.87\n")
+    assert main(["calibrate", str(data), "--omega0z", "0"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: DegenerateData: undressed frequency is 0 at data row 2 ")
+
+
+@pytest.mark.parametrize("omega0z", ["nan", "inf", "-inf"])
+def test_calibrate_non_finite_omega0z_exits_4(tmp_path, capsys, omega0z):
+    data = tmp_path / "ratios.csv"
+    data.write_text("omega0x_kHz,ratio\n0,0.32\n2,0.4\n4,0.6\n6,0.75\n8,0.82\n10,0.87\n")
+    for argv in ([str(data)], ["--synthetic"]):
+        assert main(["calibrate", *argv, f"--omega0z={omega0z}"]) == 4
+        assert capsys.readouterr().err.startswith("error: DegenerateData: omega0z must be finite")
+
+
 def test_calibrate_empty_csv_exits_2(tmp_path, capsys):
     data = tmp_path / "empty.csv"
     data.write_text("")
