@@ -5,8 +5,9 @@ are reported the way lab notebooks record them, as ordinary frequencies in
 kHz (value = omega/2pi); configuration files use the same unit.  CSV output
 is deterministic: identical invocations produce byte-identical files.
 
-Exit codes: 0 success, 2 usage/configuration error, 3 numerical failure,
-4 fit failure.
+Exit codes: 0 success, 2 usage/configuration error (a path that cannot be
+read or written, or a file that is not UTF-8 text, among them), 3 numerical
+failure, 4 fit failure.
 
 The argument parser is built once per process, on the first ``main`` call,
 and reused by every later call; parsing leaves no state in it.  Run as
@@ -27,7 +28,7 @@ from .analysis import (
     synthetic_calibration_data,
 )
 from .config import dimensionless, validate
-from .configfile import _KHZ, apply_overrides, load_config
+from .configfile import _KHZ, apply_overrides, load_config, read_text
 from .effective import _p1_norm_maxes, rectified_field
 from .errors import (
     ConfigFileError,
@@ -60,16 +61,102 @@ def _fmt(value) -> str:
     return str(value)
 
 
+# The float-table writer prints %.12g from NumPy passes.  A cell with
+# 1e-4 <= |x| < 1 prints in fixed notation as "0.", -1 - e zeros and the
+# 12 significant digits D without their trailing zeros, where
+# e = floor(log10|x|) is in [-4, -1].  D is round(s) for s = |x| * 10**(11 - e):
+# the power of ten is exact and s < 2**40, so s is off the exact product by at
+# most 2**-13, and unless the fraction of s lies within 2**-11 of 1/2 it rounds
+# to the same D.  Every other cell -- a near-tie, D = 10**12, |x| outside
+# [1e-4, 1), 0, nan, inf -- is formatted by %.12g itself.
+_BLOCK_CELLS = 1 << 15  # cells per block, so the scratch arrays do not grow with the table
+
+
+@functools.cache
+def _digit_tables():
+    """(words, prefixes, scales) of the float-table writer, built on first use.
+
+    words[n] holds the 4 ASCII digits of n < 10**4 as one uint32 and
+    words[10**4 + n] the same with its trailing zeros as NUL; the two uint32
+    prefixes[:, 4 * neg + k] hold NUL, the sign, "0." and k zeros, the leading
+    bytes of a cell with e = -1 - k; scales[k] = 10**(11 - e).
+    """
+    n = np.arange(10**4)
+    digits = np.stack([n // 1000, n // 100 % 10, n // 10 % 10, n % 10], axis=1).astype(np.uint8)
+    trailing = np.cumprod(digits[:, ::-1] == 0, axis=1)[:, ::-1].astype(bool)
+    text = digits + np.uint8(ord("0"))
+    words = np.concatenate([text, np.where(trailing, np.uint8(0), text)]).view(np.uint32).ravel()
+    heads = [f"\0{sign}0.{'0' * k}" for sign in ("", "-") for k in (0, 1, 2, 3)]
+    prefixes = np.array(heads, dtype="S8").view(np.uint32).reshape(8, 2).T.copy()
+    return words, prefixes, np.array([1e12, 1e13, 1e14, 1e15])
+
+
+def _float_table_text(rows):
+    """The CSV lines of a 2-D float array: each cell as %.12g, byte for byte.
+
+    Each cell becomes a 20-byte record: its separator (the newline that ends
+    the row before, or a comma), then the sign, "0." and leading zeros in 7
+    NUL-padded bytes and the 12 digits in three table words -- or, for a cell
+    off the fast path, its own %.12g text.  One ``translate`` deletes the NULs.
+    """
+    rows = np.asarray(rows, dtype=np.float64)
+    n_rows, n_cols = rows.shape
+    if rows.size == 0:
+        return "\n" * n_rows  # as %-formatting writes a table without columns
+    words, prefixes, scales = _digit_tables()
+    seps = np.full(n_cols, ord(","), np.uint8)
+    seps[0] = ord("\n")
+    block = max(1, _BLOCK_CELLS // n_cols)
+    chunks = []
+    for start in range(0, n_rows, block):
+        x = rows[start:start + block]
+        a = np.minimum(np.abs(x), 1.0)  # |x| >= 1 falls back; the cap keeps s finite
+        k = (a < 1e-1).view(np.int8) + (a < 1e-2).view(np.int8) + (a < 1e-3).view(np.int8)  # -1 - e
+        s = a * np.take(scales, k)
+        # where the constants' rounding put e one off, s leaves [1e11, 1e12) and the cell falls back
+        fast = (s >= 1e11) & (s < 1e12 - 0.5)
+        s = np.where(fast, s, 1e11)
+        d = np.rint(s)
+        fast &= np.abs(s - d) < 0.5 - 2.0**-11
+        d = d.astype(np.int64)
+        hi, lo = d // 10**8, d % 10**8
+        mid, low = lo // 10**4, lo % 10**4
+
+        rec = np.empty(x.shape + (5,), np.uint32)
+        head = k + 4 * np.signbit(x).view(np.int8)
+        rec[..., 0] = np.take(prefixes[0], head)
+        rec[..., 1] = np.take(prefixes[1], head)
+        rec[..., 2] = np.take(words, hi + 10**4 * (lo == 0))
+        rec[..., 3] = np.take(words, mid + 10**4 * (low == 0))
+        rec[..., 4] = np.take(words, low + 10**4)
+        slow = np.flatnonzero(~fast)
+        if slow.size:
+            values = x.ravel()[slow].tolist()
+            cells = ("_%.12g\n" * len(values) % tuple(values)).split()  # "_" holds the separator byte
+            rec.reshape(-1, 5)[slow] = np.array(cells, dtype="S20").view(np.uint32).reshape(-1, 5)
+        rec8 = rec.view(np.uint8)
+        rec8[..., 0] = seps
+        if start == 0:
+            rec8[0, 0, 0] = 0  # the table's first cell follows no row
+        chunks.append(rec.tobytes().translate(None, b"\0").decode("ascii"))
+    chunks.append("\n")
+    return "".join(chunks)
+
+
 def _write_csv(path, comment_lines, header, rows):
-    """rows: a list of rows of mixed cells, or a 2-D float array written in one
-    %-format (the same text as _fmt gives each float)."""
+    """Write the schema line, the comment lines, the header and the rows.
+
+    rows: a list of rows of mixed cells, each written by _fmt, or a 2-D float
+    array.  An array is written by _float_table_text, which gives every cell
+    the same bytes as %.12g (and so as _fmt) from a few NumPy passes over the
+    table rather than one Python float format per cell.
+    """
     lines = [f"# {CSV_SCHEMA}"]
     lines += [f"# {c}" for c in comment_lines]
     lines.append(",".join(header))
     text = "\n".join(lines) + "\n"
     if isinstance(rows, np.ndarray):
-        line = ",".join(["%.12g"] * rows.shape[1]) + "\n"
-        text += (line * rows.shape[0]) % tuple(rows.ravel().tolist())
+        text += _float_table_text(rows)
     else:
         text += "".join(",".join(_fmt(v) for v in row) + "\n" for row in rows)
     if path is None or path == "-":
@@ -204,34 +291,33 @@ def cmd_scan(args) -> int:
 
 def _read_ratio_csv(path):
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = None
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                tag = line[1:].strip()
-                if tag.startswith("dressedspin-csv") and tag != CSV_SCHEMA:
-                    raise ConfigFileError(
-                        f"unknown CSV schema {tag!r} (expected {CSV_SCHEMA!r})",
-                        source=str(path),
-                        line=lineno,
-                    )
-                continue
-            cells = [c.strip() for c in line.split(",")]
-            if header is None:
-                header = [c.lower() for c in cells]
-                if "omega0x_khz" not in header or "ratio" not in header:
-                    raise ConfigFileError(
-                        "data CSV needs columns omega0x_kHz, ratio", source=str(path), line=lineno
-                    )
-                iw, ir = header.index("omega0x_khz"), header.index("ratio")
-                continue
-            try:
-                rows.append((float(cells[iw]) * _KHZ, float(cells[ir])))
-            except (ValueError, IndexError):
-                raise ConfigFileError("bad data row", source=str(path), line=lineno) from None
+    header = None
+    for lineno, raw in enumerate(read_text(path).split("\n"), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            tag = line[1:].strip()
+            if tag.startswith("dressedspin-csv") and tag != CSV_SCHEMA:
+                raise ConfigFileError(
+                    f"unknown CSV schema {tag!r} (expected {CSV_SCHEMA!r})",
+                    source=str(path),
+                    line=lineno,
+                )
+            continue
+        cells = [c.strip() for c in line.split(",")]
+        if header is None:
+            header = [c.lower() for c in cells]
+            if "omega0x_khz" not in header or "ratio" not in header:
+                raise ConfigFileError(
+                    "data CSV needs columns omega0x_kHz, ratio", source=str(path), line=lineno
+                )
+            iw, ir = header.index("omega0x_khz"), header.index("ratio")
+            continue
+        try:
+            rows.append((float(cells[iw]) * _KHZ, float(cells[ir])))
+        except (ValueError, IndexError):
+            raise ConfigFileError("bad data row", source=str(path), line=lineno) from None
     if header is None:
         raise ConfigFileError("empty data file", source=str(path))
     return rows
@@ -314,7 +400,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigurationError, ConfigFileError, FileNotFoundError) as exc:
+    except (ConfigurationError, ConfigFileError, OSError) as exc:  # OSError: a path that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (FitDiverged, DegenerateData) as exc:

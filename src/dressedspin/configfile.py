@@ -41,7 +41,7 @@ from .config import (
 )
 from .errors import ConfigFileError
 
-__all__ = ["load_config", "parse_config_text", "apply_overrides"]
+__all__ = ["load_config", "parse_config_text", "apply_overrides", "read_text"]
 
 # rad/s per kHz of ordinary frequency (value = omega/2pi); the CLI uses it too.
 _KHZ = 2.0 * math.pi * 1e3
@@ -88,7 +88,7 @@ def _khz(raw, **loc):
 # The key schema, in one place: section -> key -> (field, value parser).  The
 # file key ``k`` in section ``s`` is the override path ``s.k`` (``tuning.N.k``
 # in the N-th [[tuning]] block, plain ``k`` at the top level); both routes
-# assign through ``_assign``.  A section name is the DriveConfiguration
+# parse through ``_parse_entry``.  A section name is the DriveConfiguration
 # attribute that holds its fields.
 _SCHEMA = {
     "": {"spin": ("spin", _text)},
@@ -103,8 +103,9 @@ _SCHEMA = {
 }
 
 
-def _assign(config, path, text, *, source, line=None, key=None):
-    """Return ``config`` with the value at dotted ``path`` parsed from ``text``.
+def _parse_entry(path, text, n_tuning, *, source, line=None, key=None):
+    """``(section, tuning index or None, field, value)`` for the value at dotted
+    ``path`` parsed from ``text``, with ``n_tuning`` tuning components in place.
 
     Errors carry ``key`` (a file passes the bare key), else the whole path.
     """
@@ -118,14 +119,21 @@ def _assign(config, path, text, *, source, line=None, key=None):
         where = f"in [[{section}]]" if indexed else f"in [{section}]" if section else "at the top level"
         raise ConfigFileError(f"unknown key {where} (use {', '.join(fields)})", **loc)
     field, parse = fields[name]
+    idx = None
     if indexed:
         idx = _parse_int(index, **loc)
-        if not 0 <= idx < len(config.tuning):
-            raise ConfigFileError(f"no tuning component with index {idx} (have {len(config.tuning)})", **loc)
-    value = {field: parse(text, **loc)}
+        if not 0 <= idx < n_tuning:
+            raise ConfigFileError(f"no tuning component with index {idx} (have {n_tuning})", **loc)
+    return section, idx, field, parse(text, **loc)
+
+
+def _assign(config, path, text, *, source):
+    """Return ``config`` with the value at dotted ``path`` parsed from ``text``."""
+    section, idx, field, value = _parse_entry(path, text, len(config.tuning), source=source)
+    value = {field: value}
     if not section:
         return replace(config, **value)
-    if not indexed:
+    if idx is None:
         return replace(config, **{section: replace(getattr(config, section), **value)})
     tuning = list(config.tuning)
     tuning[idx] = replace(tuning[idx], **value)
@@ -133,9 +141,13 @@ def _assign(config, path, text, *, source, line=None, key=None):
 
 
 def parse_config_text(text: str, source: str = "<config>") -> DriveConfiguration:
-    """Parse configuration text into a DriveConfiguration (not yet validated)."""
-    config = DriveConfiguration(static=StaticField(), dressing=DressingField(omega_d=0.0, omega=0.0))
-    blocks = []  # header line of each [[tuning]] block
+    """Parse configuration text into a DriveConfiguration (not yet validated).
+
+    Each section's values are collected first and each dataclass is built
+    once, after the last line.
+    """
+    values = {"": {}, "static": {}, "dressing": {"omega_d": 0.0}}
+    blocks = []  # (header line, values) of each [[tuning]] block
     seen = set()  # assigned paths, for duplicate and required-key checks
 
     section = ""  # path prefix of the current section: "", "static", "dressing" or "tuning.N"
@@ -150,9 +162,7 @@ def parse_config_text(text: str, source: str = "<config>") -> DriveConfiguration
             if name != "tuning":
                 raise ConfigFileError(f"unknown section [[{name}]]", source=source, line=lineno)
             section = f"tuning.{len(blocks)}"
-            blocks.append(lineno)
-            blank = TuningComponent(axis="", amplitude=0.0, harmonic=0)
-            config = replace(config, tuning=config.tuning + (blank,))
+            blocks.append((lineno, {}))
             continue
         if stripped.startswith("["):
             if not stripped.endswith("]"):
@@ -175,20 +185,34 @@ def parse_config_text(text: str, source: str = "<config>") -> DriveConfiguration
         if path in seen:
             raise ConfigFileError("duplicate key", source=source, line=lineno, key=path)
         seen.add(path)
-        config = _assign(config, path, value, source=source, line=lineno, key=key)
+        part, idx, field, parsed = _parse_entry(path, value, len(blocks), source=source, line=lineno, key=key)
+        (values[part] if idx is None else blocks[idx][1])[field] = parsed
 
     if "dressing.frequency" not in seen:
         raise ConfigFileError("missing required key", source=source, key="dressing.frequency")
-    for i, blockline in enumerate(blocks):
+    for i, (blockline, _) in enumerate(blocks):
         for req in ("axis", "amplitude", "harmonic"):
             if f"tuning.{i}.{req}" not in seen:
                 raise ConfigFileError("missing required key in [[tuning]]", source=source, line=blockline, key=req)
-    return config
+    return DriveConfiguration(
+        static=StaticField(**values["static"]),
+        dressing=DressingField(**values["dressing"]),
+        tuning=tuple(TuningComponent(**fields) for _, fields in blocks),
+        **values[""],
+    )
+
+
+def read_text(path) -> str:
+    """The text of a UTF-8 file; a file that does not decode is a ConfigFileError naming it."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigFileError(f"not UTF-8 text ({exc.reason})", source=str(path)) from None
 
 
 def load_config(path) -> DriveConfiguration:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read(), source=str(path))
+    return parse_config_text(read_text(path), source=str(path))
 
 
 def apply_overrides(config: DriveConfiguration, overrides) -> DriveConfiguration:

@@ -444,6 +444,32 @@ def test_missing_config_file_exits_2(capsys):
     assert main(["effective-field", "/nonexistent/drive.cfg"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv, culprit",
+    [
+        (["simulate", "{cfg}", "--t-end", "0.001", "--samples", "16", "--out", "{dir}"], "dir"),
+        (["effective-field", "{cfg}", "--csv", "{dir}"], "dir"),
+        (["scan", "{cfg}", "--sweep", "xi", "--from", "1", "--to", "2", "--points", "2", "--out", "{dir}"], "dir"),
+        (["simulate", "{dir}", "--t-end", "0.001", "--samples", "16"], "dir"),
+        (["calibrate", "{dir}", "--omega0z", "5.979"], "dir"),
+        (["simulate", "{latin1}", "--t-end", "0.001", "--samples", "16"], "latin1"),
+        (["calibrate", "{latin1}", "--omega0z", "5.979"], "latin1"),
+    ],
+    ids=["simulate-out-dir", "effective-field-csv-dir", "scan-out-dir", "simulate-config-dir",
+         "calibrate-data-dir", "config-not-utf8", "data-not-utf8"],
+)
+def test_unusable_path_or_encoding_exits_2_naming_the_path(tmp_path, capsys, argv, culprit):
+    paths = {"cfg": _write(tmp_path, "small.cfg", SMALL_ETA_CFG), "dir": str(tmp_path / "a-directory"),
+             "latin1": str(tmp_path / "latin1.cfg")}
+    (tmp_path / "a-directory").mkdir()
+    (tmp_path / "latin1.cfg").write_bytes(b"omega0x_kHz,ratio\n# 5 \xb5T\n" + SMALL_ETA_CFG.encode())
+    assert main([a.format(**paths) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert paths[culprit] in err
+    assert ("not UTF-8" in err) == (culprit == "latin1")
+
+
 def test_no_ansi_escapes(tmp_path, capsys):
     cfg = _write(tmp_path, "drive.cfg", EVEN_HARMONIC_CFG)
     main(["effective-field", cfg])
