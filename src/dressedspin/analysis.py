@@ -18,7 +18,7 @@ from .config import DriveConfiguration, dimensionless, validate
 from .effective import _p1_norm_maxes, rectified_field
 from .errors import DegenerateData, DressedSpinError, FitDiverged, NoOscillation
 from .fitting import Lcg64, least_squares
-from .propagate import CoherenceSeries, monodromy_quasienergies, propagate_series
+from .propagate import CoherenceSeries, _quasienergies, _series
 from .special import bessel_j
 
 __all__ = [
@@ -51,55 +51,64 @@ class FrequencyEstimate:
     stderr: float
 
 
-def extract_frequency(series: CoherenceSeries) -> FrequencyEstimate:
-    """Precession frequency of the sx channel: offset + amplitude*cos(Omega t).
+def _frequency_starts(t, y):
+    """The input checks and the spectral-peak start of extract_frequency over a batch of series.
 
-    The sx channel carries a single spectral line, so a three-parameter
-    model applies: the discrete spectrum peak seeds a nonlinear refinement.
-    The series must start at the zero-phase point t = 0 (all generators in
-    this package do) and be uniformly sampled at increasing times with at
-    least 16 samples (ValueError otherwise).  A series that spans fewer than
-    3 periods of its line or resolves each period with fewer than 16 samples
-    raises NoOscillation.
+    t and y are (series, n) arrays of their times and sx values; each check
+    and the start are one array pass over the batch.  Returns per series its
+    fit start [offset, amplitude, omega], or the ValueError or NoOscillation
+    of its first failed check, in extract_frequency's order.
     """
-    t = np.asarray(series.times, dtype=float)
-    y = np.asarray(series.sx, dtype=float)
-    if t.size < 16:
-        raise ValueError("need at least 16 samples")
-    dt = np.diff(t)
-    if t[0] != 0.0 or not dt[0] > 0.0:
-        raise ValueError("series must start at t = 0 with increasing times")
-    if not np.allclose(dt, dt[0], rtol=1e-9, atol=0.0):
-        raise ValueError("series must be uniformly sampled")
-    dt = float(dt[0])
+    if t.shape[-1] < 16:
+        return [ValueError("need at least 16 samples") for _ in t]
+    dt = np.diff(t, axis=1)
+    bad_start = (t[:, 0] != 0.0) | ~(dt[:, 0] > 0.0)
+    uneven = ~np.all(np.isclose(dt, dt[:, :1], rtol=1e-9, atol=0.0), axis=1)
+    out = [
+        ValueError("series must start at t = 0 with increasing times") if bad
+        else ValueError("series must be uniformly sampled") if ragged else None
+        for bad, ragged in zip(bad_start, uneven)
+    ]
+    rows = np.flatnonzero(~(bad_start | uneven))
+    if not rows.size:
+        return out
+    y, step, span = y[rows], dt[rows, 0], t[rows, -1] - t[rows, 0]
 
-    centred = y - float(np.mean(y))
-    if float(np.max(np.abs(centred))) < 1e-3:
-        raise NoOscillation("sx oscillation amplitude below 1e-3")
+    offset = np.mean(y, axis=1)
+    centred = y - offset[:, None]
     spec = np.abs(np.fft.rfft(centred))
-    if spec.size < 3:
-        raise NoOscillation("series too short for a spectrum")
-    k = int(np.argmax(spec[1:])) + 1
+    at = np.arange(rows.size)
+    k = np.argmax(spec[:, 1:], axis=1) + 1
     # the peak must actually stand out against the rest of the spectrum
-    others = np.delete(spec, [0, k])
-    if others.size and spec[k] < 3.0 * float(np.median(others)) + 1e-30:
-        raise NoOscillation("spectral peak indistinct")
+    others = np.ones(spec.shape, dtype=bool)
+    others[:, 0] = False
+    others[at, k] = False
+    median = np.median(spec[others].reshape(rows.size, -1), axis=1)
     # parabolic interpolation of the peak bin
-    if 1 <= k < spec.size - 1 and spec[k - 1] > 0 and spec[k + 1] > 0:
-        la, lb, lc = np.log(spec[k - 1 : k + 2])
-        denom = la - 2.0 * lb + lc
-        shift = 0.5 * (la - lc) / denom if denom != 0.0 else 0.0
-        shift = float(np.clip(shift, -0.5, 0.5))
-    else:
-        shift = 0.0
-    omega0 = 2.0 * math.pi * (k + shift) / (t.size * dt)
+    three = spec[at[:, None], np.minimum(k[:, None] + np.arange(-1, 2), spec.shape[1] - 1)]
+    inner = np.flatnonzero((k < spec.shape[1] - 1) & (three[:, 0] > 0) & (three[:, 2] > 0))
+    la, lb, lc = np.log(three[inner]).T
+    denom = la - 2.0 * lb + lc
+    curved = denom != 0.0
+    shift = np.zeros(rows.size)
+    shift[inner[curved]] = np.clip(0.5 * (la - lc)[curved] / denom[curved], -0.5, 0.5)
+    omega0 = 2.0 * math.pi * (k + shift) / (t.shape[1] * step)
+    amp0 = (np.max(centred, axis=1) - np.min(centred, axis=1)) / 2.0
 
-    span = t[-1] - t[0]
-    if span * omega0 < 3.0 * 2.0 * math.pi:
-        raise NoOscillation("series spans fewer than 3 oscillation periods")
-    if 2.0 * math.pi / omega0 < 16.0 * dt:
-        raise NoOscillation("fewer than 16 samples per oscillation period")
+    checks = (
+        (np.max(np.abs(centred), axis=1) < 1e-3, "sx oscillation amplitude below 1e-3"),
+        (spec[at, k] < 3.0 * median + 1e-30, "spectral peak indistinct"),
+        (span * omega0 < 3.0 * 2.0 * math.pi, "series spans fewer than 3 oscillation periods"),
+        (2.0 * math.pi / omega0 < 16.0 * step, "fewer than 16 samples per oscillation period"),
+    )
+    for i, row in enumerate(rows.tolist()):
+        failed = next((message for bad, message in checks if bad[i]), None)
+        out[row] = NoOscillation(failed) if failed else [float(offset[i]), float(amp0[i]), float(omega0[i])]
+    return out
 
+
+def _fit_frequency(t, y, start) -> FrequencyEstimate:
+    """The offset + amplitude*cos(Omega t) least-squares fit of sx values y at times t from start."""
     jac = np.empty((3, t.size))
     jac[0] = 1.0
 
@@ -111,13 +120,32 @@ def extract_frequency(series: CoherenceSeries) -> FrequencyEstimate:
         r = c + a * jac[1] - y
         return float(r @ r), jac @ r, jac @ jac.T
 
-    amp0 = float(np.max(centred) - np.min(centred)) / 2.0
-    fit = least_squares(normal, [float(np.mean(y)), amp0, omega0], t.size)
+    fit = least_squares(normal, start, t.size)
     if not fit.converged or not np.all(np.isfinite(fit.params)):
         raise FitDiverged("offset+cosine refinement did not converge")
     omega_fit = abs(float(fit.params[2]))
     stderr = float(math.sqrt(max(fit.covariance[2, 2], 0.0)))
     return FrequencyEstimate(omega_L=omega_fit, stderr=stderr)
+
+
+def extract_frequency(series: CoherenceSeries) -> FrequencyEstimate:
+    """Precession frequency of the sx channel: offset + amplitude*cos(Omega t).
+
+    The sx channel carries a single spectral line, so a three-parameter
+    model applies: the discrete spectrum peak seeds a nonlinear refinement.
+    The series must start at the zero-phase point t = 0 (all generators in
+    this package do) and be uniformly sampled at increasing times with at
+    least 16 samples (ValueError otherwise).  A series that spans fewer than
+    3 periods of its line or resolves each period with fewer than 16 samples
+    raises NoOscillation.  This is the batch of one of the scan's time-series
+    column (_frequency_starts, then _fit_frequency).
+    """
+    t = np.asarray(series.times, dtype=float)
+    y = np.asarray(series.sx, dtype=float)
+    (start,) = _frequency_starts(t[None], y[None])
+    if isinstance(start, Exception):
+        raise start
+    return _fit_frequency(t, y, start)
 
 
 @dataclass(frozen=True)
@@ -187,48 +215,67 @@ class ScanResult:
     rows: tuple
 
 
-def _timeseries_omegas(configs, omega_refs):
+def _timeseries_omegas(bundles, omegas, omega_refs, store=None):
     """Propagate about 8 periods of each omega_ref and fit each sx frequency.
 
-    A window whose 256 samples lie a drive period or more apart is cut down
-    to whole drive periods between samples, so the micromotion is the same
-    at every sample and cannot alias next to the Larmor line; cut down, not
-    rounded, so no spacing grows.  One batch of propagate_series over every
-    point with a finite window, then one fit per point.  Returns per point
-    the fitted frequency or the DressedSpinError it failed with; a reference
-    of 0, or one so small that 8 periods are not a finite time, gives
-    NoOscillation.
+    bundles are the points' dimensionless bundles and omegas their dressing
+    frequencies.  A window whose 256 samples lie a drive period or more
+    apart is cut down to whole drive periods between samples, so the
+    micromotion is the same at every sample and cannot alias next to the
+    Larmor line; cut down, not rounded, so no spacing grows.  One batch of
+    propagate._series over every point with a finite window, which takes
+    each grid it finds in store (filled by the monodromy column) instead of
+    integrating it; then extract_frequency's checks and starts as one array
+    pass over the (points, 256) sx batch, and one fit per point.  Returns
+    per point the fitted frequency or the DressedSpinError it failed with;
+    a reference of 0, or one so small that 8 periods are not a finite time,
+    gives NoOscillation.
     """
-    out = [None] * len(configs)
+    out = [None] * len(bundles)
     windows = {}
     for i, omega_ref in enumerate(omega_refs):
         t_end = 8.0 * 2.0 * math.pi / abs(omega_ref) if omega_ref else math.inf
         if t_end < math.inf:
-            stride = 255.0 * 2.0 * math.pi / configs[i].dressing.omega  # samples one drive period apart
+            stride = 255.0 * 2.0 * math.pi / omegas[i]  # samples one drive period apart
             windows[i] = stride * math.floor(t_end / stride) or t_end
         else:
             out[i] = NoOscillation(f"no finite 8-period window for a reference frequency of {omega_ref:g} rad/s")
-    batch = propagate_series([configs[i] for i in windows], list(windows.values()), 256)
+    batch = _series([bundles[i] for i in windows], [omegas[i] for i in windows], list(windows.values()), 256, store)
+    fitted = []
     for i, series in zip(windows, batch):
-        try:
-            out[i] = series if isinstance(series, DressedSpinError) else extract_frequency(series).omega_L
-        except DressedSpinError as exc:
-            out[i] = exc
+        if isinstance(series, DressedSpinError):
+            out[i] = series
+        else:
+            fitted.append((i, series.times, series.sx))
+    if fitted:
+        points, t, y = zip(*fitted)
+        t, y = np.array(t), np.array(y)
+        for j, (i, start) in enumerate(zip(points, _frequency_starts(t, y))):
+            try:
+                if isinstance(start, Exception):
+                    raise start
+                out[i] = _fit_frequency(t[j], y[j], start).omega_L
+            except DressedSpinError as exc:
+                out[i] = exc
     return out
 
 
 def _scan_rows(spec: ScanSpec, values):
     """The rows of `values`, a contiguous run of the grid.
 
-    The closed form runs point by point; then one batched P1 table, one
-    batched monodromy pass and one batched time-series pass cover every
-    point whose configuration is valid.
+    The closed form runs point by point, and each valid point is reduced to
+    its dimensionless bundle once; then one batched P1 table, one batched
+    monodromy pass and one batched time-series pass read those bundles.
+    When both numeric columns run, they share one grid store for this call:
+    the monodromy pass puts every grid it integrates there, and the
+    time-series pass takes each one out instead of integrating it again.
     """
     rows = [{"value": value, "errors": []} for value in values]
-    valid, configs, window_refs = [], [], []
+    valid, configs, bundles, window_refs = [], [], [], []
     for row in rows:
         try:
-            config = validate(spec.config_at(row["value"]))
+            config = spec.config_at(row["value"])
+            bundle = dimensionless(config)  # validates
         except (DressedSpinError, ValueError) as exc:
             row["errors"].append(f"config:{type(exc).__name__}")
             continue
@@ -238,19 +285,22 @@ def _scan_rows(spec: ScanSpec, values):
             row["perturbative"] = field.omega_L
         valid.append(row)
         configs.append(config)
+        bundles.append(bundle)
         # the time-series window is sized from the monodromy value where
         # there is one, else from first order
         window_refs.append(field.omega_L)
+    omegas = [config.dressing.omega for config in configs]
 
-    p1 = _p1_norm_maxes([dimensionless(config) for config in configs], [config.spin for config in configs])
+    p1 = _p1_norm_maxes(bundles, [config.spin for config in configs])
     for row, norm in zip(valid, p1):
         if isinstance(norm, DressedSpinError):
             row["errors"].append(f"perturbative:{type(norm).__name__}")
         else:
             row["p1_norm_max"] = norm
 
+    store = {} if "timeseries" in spec.methods else None
     if "monodromy" in spec.methods:
-        for i, qe in enumerate(monodromy_quasienergies(configs)):
+        for i, qe in enumerate(_quasienergies(bundles, omegas, store)):
             if isinstance(qe, DressedSpinError):
                 valid[i]["errors"].append(f"monodromy:{type(qe).__name__}")
             else:
@@ -258,7 +308,7 @@ def _scan_rows(spec: ScanSpec, values):
                 valid[i]["alias_ambiguous"] = qe.alias_ambiguous
 
     if "timeseries" in spec.methods:
-        for row, omega in zip(valid, _timeseries_omegas(configs, window_refs)):
+        for row, omega in zip(valid, _timeseries_omegas(bundles, omegas, window_refs, store)):
             if isinstance(omega, DressedSpinError):
                 row["errors"].append(f"timeseries:{type(omega).__name__}")
             else:
@@ -270,17 +320,22 @@ def _scan_rows(spec: ScanSpec, values):
 def run_scan(spec: ScanSpec, jobs: int = 1) -> ScanResult:
     """Evaluate every grid point by every requested method.
 
-    The closed form runs point by point; the P1 diagnostic is one batched
-    Fourier table over the grid (_p1_norm_maxes), and the monodromy and the
+    The closed form runs point by point, and each valid point is reduced to
+    its dimensionless bundle once; the P1 diagnostic is one batched Fourier
+    table over the grid (_p1_norm_maxes), and the monodromy and the
     time-series columns each run as one batched propagation pass over the
-    grid, in which every point refines on its own.  Per-point failures are
-    recorded as error tokens in the row and the scan continues.  Every row
-    is a pure function of (spec, value), equal field by field to the row of
-    the one-point scan at that value, so rows come back alike in grid order
-    regardless of jobs; jobs > 1 gives each worker process one contiguous
-    chunk of the grid, and each chunk is one batched pass.  The monodromy
-    column is the per-point Floquet-mode value of monodromy_quasienergy, not
-    a value unfolded along the grid.
+    grid, in which every point refines on its own.  When both columns run,
+    the time-series pass reads each (point, steps) grid the monodromy pass
+    integrated from a store that lives for the scan, so no grid is
+    integrated twice; the cells are those of each column run alone, to the
+    last bit.  Per-point failures are recorded as error tokens in the row
+    and the scan continues.  Every row is a pure function of (spec, value),
+    equal field by field to the row of the one-point scan at that value, so
+    rows come back alike in grid order regardless of jobs; jobs > 1 gives
+    each worker process one contiguous chunk of the grid, and each chunk is
+    one batched pass with its own store.  The monodromy column is the
+    per-point Floquet-mode value of monodromy_quasienergy, not a value
+    unfolded along the grid.
     """
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor

@@ -18,8 +18,8 @@ rounding.  One period is a uniform grid of N steps, combined in a prefix
 product of log2(N) rounds (Hillis & Steele 1986); its last node is the
 monodromy, and each sample phase is reached by one batched partial step
 from the grid node below it.  N starts at ``_STEPS_PER_PERIOD`` and doubles
-at most ``_MAX_REFINEMENTS`` times (``_refine``, the one step-halving loop
-and the one caller of ``_grid``) until the result moves by at most
+at most ``_MAX_REFINEMENTS`` times (``_refine``, the one step-halving loop,
+in which every ``_grid`` call runs) until the result moves by at most
 ``_REL_TOL`` of its scale with its drift within ``_DRIFT_TOL``; every doubling
 changes every step.  No renormalisation is applied -- norm drift is the
 error diagnostic, not something to hide.
@@ -46,7 +46,11 @@ is how scans run their monodromy and time-series columns;
 monodromy_quasienergy, propagate_spin_half and propagate_bloch_spin1 are
 their batches of one.  A level runs in passes of at most _PASS_NODES // N
 points, so the working memory does not grow with the batch, and every value
-of a point is the value of its batch of one, to the last bit.
+of a point is the value of its batch of one, to the last bit.  A scan runs
+both columns through the private cores _quasienergies and _series, which
+take the dimensionless bundles and share one grid store: the monodromy
+column puts every grid it integrates there, keyed by bundle and steps, and
+the time-series column takes each out instead of integrating it again.
 """
 
 from dataclasses import dataclass
@@ -80,8 +84,12 @@ _REL_TOL = 1e-10
 _MAX_REFINEMENTS = 6
 
 # Grid nodes per integration pass: a pass at N steps per period takes at
-# most _PASS_NODES // N points of a batch (at least one).
-_PASS_NODES = 1024
+# most _PASS_NODES // N points of a batch (at least one).  Its grid and
+# Magnus steps peak near 3 MB; a series pass at 128 steps with 256 samples a
+# point peaks near 9.5 MB (tracemalloc).  A scan's time-series column reads
+# most grids from the store, so its sample arrays, not its grids, set a
+# pass's size.
+_PASS_NODES = 8192
 
 # Largest series drift | |<sigma>| - 1 | and monodromy unitarity error
 # accepted, for both spins.
@@ -205,20 +213,38 @@ def _integrate_targets(bundles, targets, grid):
     return _mul(_magnus_steps(bundles, h * node, targets - h * node), below)
 
 
-def _refine(bundles, run, name):
-    """The step-halving loop of every result of this module, and the one caller of _grid.
+def _stored_grid(bundles, steps, store):
+    """_grid(bundles, steps), with each grid found in store at (bundle, steps) taken out of it instead of integrated."""
+    found = [store.pop((bundle, steps), None) for bundle in bundles]
+    missing = [i for i, grid in enumerate(found) if grid is None]
+    if len(missing) == len(bundles):
+        return _grid(bundles, steps)
+    if missing:
+        grid = _grid([bundles[i] for i in missing], steps)
+        for j, i in enumerate(missing):
+            found[i] = grid[:, :, j]
+    return np.stack(found, axis=2)
+
+
+def _refine(bundles, run, name, fill=None, take=None):
+    """The step-halving loop of every result of this module, in which every _grid call runs.
 
     Each pass integrates the grid of its points `rows` (an index array)
-    once, and run(grid, rows) returns their values, tolerance scales and
-    drifts, one row each, and a function that builds the results of the rows
-    at the positions it is given.  Each point's steps double from
-    _STEPS_PER_PERIOD at most _MAX_REFINEMENTS times, and the point leaves
-    with its first result that moved by at most _REL_TOL * scale with drift
-    <= _DRIFT_TOL.  A point still in the batch after the last refinement
-    gets UnitarityLost if its last drift is out of bounds, and NoConvergence
-    if not.  A level runs in passes of at most _PASS_NODES // steps points
-    (at least one), so a pass's memory does not grow with the batch.
-    Returns each bundle's result or error, in order.
+    once, or reads it from a store, and run(grid, rows) returns their
+    values, tolerance scales and drifts, one row each, and a function that
+    builds the results of the rows at the positions it is given.  Each
+    point's steps double from _STEPS_PER_PERIOD at most _MAX_REFINEMENTS
+    times, and the point leaves with its first result that moved by at most
+    _REL_TOL * scale with drift <= _DRIFT_TOL.  A point still in the batch
+    after the last refinement gets UnitarityLost if its last drift is out
+    of bounds, and NoConvergence if not.  A level runs in passes of at most
+    _PASS_NODES // steps points (at least one), so a pass's memory does not
+    grow with the batch.  fill and take are grid stores, dicts keyed by
+    (bundle, steps): a pass puts each grid it integrates into fill, and
+    takes each grid it finds in take out of it instead of integrating it.
+    A grid depends on its bundle and steps alone, to the last bit, so a grid
+    from the store is the grid the pass would integrate.  Returns each
+    bundle's result or error, in order.
     """
     out = [None] * len(bundles)
     rows = np.arange(len(bundles))
@@ -230,7 +256,11 @@ def _refine(bundles, run, name):
         passes = []
         for i in range(0, rows.size, size):
             part = rows[i : i + size]
-            values, scale, part_drift, results = run(_grid([bundles[p] for p in part], steps), part)
+            points = [bundles[p] for p in part]
+            grid = _grid(points, steps) if take is None else _stored_grid(points, steps, take)
+            if fill is not None:
+                fill.update(((bundle, steps), grid[:, :, j]) for j, bundle in enumerate(points))
+            values, scale, part_drift, results = run(grid, part)
             if level:
                 part_err = np.max(np.abs(values - prev[i : i + size]).reshape(part.size, -1), axis=1)
                 done = (part_err <= _REL_TOL * scale) & (part_drift <= _DRIFT_TOL)
@@ -318,20 +348,14 @@ def _coherences_from_states(states):
     return sx, sy, sz
 
 
-def propagate_series(configs, t_ends, samples: int) -> list:
-    """The sampled <sigma>(t) from _PSI0 of each configuration, integrated as one batch.
+def _series(bundles, omegas, t_ends, samples, store=None):
+    """The core of propagate_series on dimensionless bundles, with omegas their dressing frequencies.
 
-    Each series has `samples` times from 0 to its own t_end.  Every point is
-    step-halved on its own until its series settles AND its drift
-    | |<sigma>| - 1 | is within _DRIFT_TOL.  Long runs accumulate drift
-    through the monodromy powers, so conservation is part of the
-    convergence criterion rather than an afterthought.  |<sigma>| = |psi|^2,
-    which for spin one is |M|.  Returns per configuration its
-    CoherenceSeries, or the UnitarityLost or NoConvergence it failed with.
+    Each pass takes the grids it finds in store (a dict keyed by bundle and
+    steps, filled by _quasienergies) out of it instead of integrating them.
     """
     times = np.array([_sample_times(t_end, samples) for t_end in t_ends])
-    bundles = [dimensionless(config) for config in configs]
-    taus = times * np.array([config.dressing.omega for config in configs], dtype=float)[:, None]
+    taus = times * np.array(omegas, dtype=float)[:, None]
     series = _sampled_series(bundles, taus, _PSI0)
 
     def run(grid, rows):
@@ -344,7 +368,22 @@ def propagate_series(configs, t_ends, samples: int) -> list:
 
         return values, np.maximum(1.0, np.max(np.abs(values), axis=(1, 2))), drift, results
 
-    return _refine(bundles, run, "series")
+    return _refine(bundles, run, "series", take=store)
+
+
+def propagate_series(configs, t_ends, samples: int) -> list:
+    """The sampled <sigma>(t) from _PSI0 of each configuration, integrated as one batch.
+
+    Each series has `samples` times from 0 to its own t_end.  Every point is
+    step-halved on its own until its series settles AND its drift
+    | |<sigma>| - 1 | is within _DRIFT_TOL.  Long runs accumulate drift
+    through the monodromy powers, so conservation is part of the
+    convergence criterion rather than an afterthought.  |<sigma>| = |psi|^2,
+    which for spin one is |M|.  Returns per configuration its
+    CoherenceSeries, or the UnitarityLost or NoConvergence it failed with.
+    """
+    return _series([dimensionless(config) for config in configs], [config.dressing.omega for config in configs],
+                   t_ends, samples)
 
 
 def propagate_spin_half(config: DriveConfiguration, t_end: float, samples: int) -> CoherenceSeries:
@@ -373,20 +412,45 @@ def propagate_bloch_spin1(config: DriveConfiguration, t_end: float, samples: int
 
 
 def _floquet_splitting(grid):
-    """|eps_1 - eps_2| of the Floquet modes of one period of grid propagators.
+    """|eps_1 - eps_2| of the Floquet modes of each point of a (2, 2, points, steps + 1) grid stack.
 
     With M v_a = exp(-2 pi i eps_a) v_a, the mode Phi_a(tau_j) = U~(tau_j) v_a
     exp(i eps_a tau_j) is periodic; each eps_a is shifted by the harmonic that
     carries the largest Fourier weight of its mode (the lowest index on a tie).
+    One eig, one einsum and one FFT cover every point.
     """
     steps = grid.shape[-1] - 1
-    lam, vec = np.linalg.eig(grid[:, :, -1])
+    lam, vec = np.linalg.eig(np.moveaxis(grid[..., -1], -1, 0))
     eps = -np.angle(lam) / TWO_PI
-    modes = np.einsum("ijn,ja->ian", grid[:, :, :-1], vec)
-    modes *= np.exp(1j * np.outer(eps, TWO_PI / steps * np.arange(steps)))
-    weight = np.sum(np.abs(np.fft.fft(modes)) ** 2, axis=0)
-    eps -= np.fft.fftfreq(steps, 1.0 / steps)[np.argmax(weight, axis=1)]
-    return float(abs(eps[0] - eps[1]))
+    modes = np.einsum("ijpn,pja->pian", grid[..., :-1], vec)
+    modes *= np.exp(1j * (eps[..., None] * (TWO_PI / steps * np.arange(steps))))[:, None]
+    weight = np.sum(np.abs(np.fft.fft(modes)) ** 2, axis=1)
+    eps -= np.fft.fftfreq(steps, 1.0 / steps)[np.argmax(weight, axis=-1)]
+    return np.abs(eps[:, 0] - eps[:, 1])
+
+
+def _quasienergies(bundles, omegas, store=None):
+    """The core of monodromy_quasienergies on dimensionless bundles, with omegas their dressing frequencies.
+
+    Every grid a pass integrates is put into store (a dict keyed by bundle
+    and steps), where _series finds it.
+    """
+    omegas = np.array(omegas, dtype=float)
+
+    def run(grid, rows):
+        mono = np.moveaxis(grid[..., -1], -1, 0)
+        # ||M^dagger M - I||_2, the largest singular value
+        unit_err = np.linalg.svd(mono.conj().transpose(0, 2, 1) @ mono - np.eye(2), compute_uv=False)[:, 0]
+        theta = np.mean(np.abs(np.angle(np.linalg.eigvals(mono))), axis=1)  # phases come as ~(+t, -t)
+        alias = (theta < _ALIAS_TOL) | (math.pi - theta < _ALIAS_TOL)
+
+        def results(done):
+            omega_L = _floquet_splitting(grid[:, :, done]) * omegas[rows[done]]
+            return [QuasiEnergy(float(w), bool(alias[i]), float(unit_err[i])) for w, i in zip(omega_L, done)]
+
+        return theta * omegas[rows] / math.pi, omegas[rows], unit_err, results
+
+    return _refine(bundles, run, "monodromy", fill=store)
 
 
 def monodromy_quasienergies(configs) -> list:
@@ -399,29 +463,11 @@ def monodromy_quasienergies(configs) -> list:
     value moves by at most _REL_TOL * omega with a monodromy unitarity error
     within _DRIFT_TOL, and an error still past it after the last refinement
     gives UnitarityLost.  The accepted grid then unfolds the value by the
-    Floquet modes (see QuasiEnergy).  The result does not depend on
-    config.spin.  Returns per configuration its QuasiEnergy, or the
-    UnitarityLost or NoConvergence it failed with.
+    Floquet modes (see QuasiEnergy), for all points of a pass at once.  The
+    result does not depend on config.spin.  Returns per configuration its
+    QuasiEnergy, or the UnitarityLost or NoConvergence it failed with.
     """
-    bundles = [dimensionless(config) for config in configs]
-    omegas = np.array([config.dressing.omega for config in configs], dtype=float)
-
-    def run(grid, rows):
-        mono = np.moveaxis(grid[..., -1], -1, 0)
-        # ||M^dagger M - I||_2, the largest singular value
-        unit_err = np.linalg.svd(mono.conj().transpose(0, 2, 1) @ mono - np.eye(2), compute_uv=False)[:, 0]
-        theta = np.mean(np.abs(np.angle(np.linalg.eigvals(mono))), axis=1)  # phases come as ~(+t, -t)
-        alias = (theta < _ALIAS_TOL) | (math.pi - theta < _ALIAS_TOL)
-
-        def results(done):
-            return [
-                QuasiEnergy(_floquet_splitting(grid[:, :, i]) * float(omegas[rows[i]]), bool(alias[i]), float(unit_err[i]))
-                for i in done
-            ]
-
-        return theta * omegas[rows] / math.pi, omegas[rows], unit_err, results
-
-    return _refine(bundles, run, "monodromy")
+    return _quasienergies([dimensionless(config) for config in configs], [config.dressing.omega for config in configs])
 
 
 def monodromy_quasienergy(config: DriveConfiguration) -> QuasiEnergy:

@@ -4,14 +4,13 @@ import math
 
 import pytest
 
-from dressedspin import propagate
+from dressedspin import analysis, propagate
 from dressedspin.config import (
     DressingField,
     DriveConfiguration,
     StaticField,
     TuningComponent,
     TuningTerm,
-    dimensionless,
 )
 
 KHZ = 2.0 * math.pi * 1e3
@@ -49,9 +48,20 @@ def lab_bundle(bundle):
 
 @contextlib.contextmanager
 def lab_frame():
-    """Within the block, every propagate entry point integrates in the lab frame."""
+    """Within the block, every propagate entry point integrates in the lab frame.
+
+    The public entry points and the scan's columns all reach the dynamics
+    through the two private cores, which take the bundles; both are wrapped
+    where propagate and analysis bind them.
+    """
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(propagate, "dimensionless", lambda config: lab_bundle(dimensionless(config)))
+        for name in ("_series", "_quasienergies"):
+
+            def lab_core(bundles, *args, core=getattr(propagate, name)):
+                return core([lab_bundle(bundle) for bundle in bundles], *args)
+
+            mp.setattr(propagate, name, lab_core)
+            mp.setattr(analysis, name, lab_core)
         yield
 
 

@@ -1,6 +1,7 @@
 from dataclasses import replace
 import math
 import pathlib
+import re
 import statistics
 
 from hypothesis import example, given, settings, strategies as st
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from dressedspin import analysis, effective, propagate, special
+from dressedspin import config as config_module
 from dressedspin.analysis import (
     J0_FIRST_ROOT,
     ScanSpec,
@@ -24,12 +26,17 @@ from dressedspin.configfile import apply_overrides, load_config
 from dressedspin.effective import bare_precession, larmor_frequency
 from dressedspin.errors import DegenerateData, FitDiverged, NoOscillation
 from dressedspin.fitting import bisect_root
-from dressedspin.propagate import CoherenceSeries, monodromy_quasienergy, propagate_spin_half
+from dressedspin.propagate import CoherenceSeries, monodromy_quasienergies, monodromy_quasienergy, propagate_spin_half
 from dressedspin.special import bessel_j
 
 from conftest import KHZ, fold, lab_frame, make_config
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
+
+
+def _timeseries_points(configs):
+    """The bundles and dressing frequencies that _timeseries_omegas takes for configs."""
+    return [dimensionless(c) for c in configs], [c.dressing.omega for c in configs]
 
 
 def _series(t_end, samples, f):
@@ -89,6 +96,78 @@ def test_extract_agrees_with_monodromy():
     est = extract_frequency(series)
     tol = 3.0 * est.stderr + 1e-6 * qe.omega_L_numeric
     assert abs(est.omega_L - qe.omega_L_numeric) <= tol
+
+
+def _reference_start(t, y):
+    """extract_frequency's checks and start, one series at a time, as the
+    package ran them before they became one array pass over a batch."""
+    dt = np.diff(t)
+    if t[0] != 0.0 or not dt[0] > 0.0:
+        return ValueError("series must start at t = 0 with increasing times")
+    if not np.allclose(dt, dt[0], rtol=1e-9, atol=0.0):
+        return ValueError("series must be uniformly sampled")
+    dt = float(dt[0])
+    centred = y - float(np.mean(y))
+    if float(np.max(np.abs(centred))) < 1e-3:
+        return NoOscillation("sx oscillation amplitude below 1e-3")
+    spec = np.abs(np.fft.rfft(centred))
+    k = int(np.argmax(spec[1:])) + 1
+    if spec[k] < 3.0 * float(np.median(np.delete(spec, [0, k]))) + 1e-30:
+        return NoOscillation("spectral peak indistinct")
+    shift = 0.0
+    if k < spec.size - 1 and spec[k - 1] > 0 and spec[k + 1] > 0:
+        la, lb, lc = np.log(spec[k - 1 : k + 2])
+        denom = la - 2.0 * lb + lc
+        shift = float(np.clip(0.5 * (la - lc) / denom, -0.5, 0.5)) if denom != 0.0 else 0.0
+    omega0 = 2.0 * math.pi * (k + shift) / (t.size * dt)
+    if (t[-1] - t[0]) * omega0 < 3.0 * 2.0 * math.pi:
+        return NoOscillation("series spans fewer than 3 oscillation periods")
+    if 2.0 * math.pi / omega0 < 16.0 * dt:
+        return NoOscillation("fewer than 16 samples per oscillation period")
+    return [float(np.mean(y)), float(np.max(centred) - np.min(centred)) / 2.0, omega0]
+
+
+def test_batched_starts_are_extract_frequency_on_each_series():
+    # one batch of 256-sample series that pass, and that fail each check:
+    # every start is bit for bit the one-series start, every error the same
+    # type and message, and extract_frequency is the batch of one
+    n, t_end = 256, 0.01
+    t = np.linspace(0.0, t_end, n)
+    rng = np.random.default_rng(7)
+    uneven = t.copy()
+    uneven[100] += 1e-6
+    cases = [
+        (t, np.cos(2 * math.pi * 1234.5 * t), None),
+        (t, 0.4 + 0.3 * np.cos(2 * math.pi * 777.0 * t + 0.2), None),
+        (t + 1e-4, np.cos(2 * math.pi * 1000.0 * t), ValueError),
+        (t[::-1], np.cos(2 * math.pi * 1000.0 * t), ValueError),
+        (uneven, np.cos(2 * math.pi * 1000.0 * t), ValueError),
+        (t, np.full(n, 0.7), NoOscillation),
+        (t, 0.5 + 1e-2 * rng.standard_normal(n), NoOscillation),
+        (t, np.cos(2 * math.pi * 200.0 * t), NoOscillation),
+        (t, np.cos(2 * math.pi * 9000.0 * t), NoOscillation),
+        (t, np.cos(2 * math.pi * 1100.0 * t) * np.exp(-300.0 * t), None),
+    ]
+    times = np.array([case[0] for case in cases])
+    sx = np.array([case[1] for case in cases])
+    starts = analysis._frequency_starts(times, sx)
+    assert len(starts) == len(cases)
+    messages = set()
+    for (ti, yi, error), start in zip(cases, starts):
+        want = _reference_start(ti, yi)
+        (alone,) = analysis._frequency_starts(ti[None], yi[None])
+        series = CoherenceSeries(times=ti, sx=yi, sy=0 * ti, sz=0 * ti)
+        if error is None:
+            assert start == want == alone
+            assert extract_frequency(series) == analysis._fit_frequency(ti, yi, start)
+        else:
+            assert type(start) is type(want) is type(alone) is error
+            assert str(start) == str(want) == str(alone)
+            with pytest.raises(error, match=re.escape(str(start))):
+                extract_frequency(series)
+            messages.add(str(start))
+    # every ValueError and NoOscillation path of the checks on 256 samples
+    assert len(messages) == 6
 
 
 def test_scan_spec_validation():
@@ -232,12 +311,12 @@ def test_timeseries_window_is_cut_to_whole_drive_periods_per_sample(strides, per
     omega_ref = 8.0 * 2.0 * math.pi / (strides * stride)
     t_ends = []
 
-    def window(configs, ends, samples):
+    def window(bundles, omegas, ends, samples, store):
         t_ends.extend(ends)
-        return [NoOscillation("not propagated")] * len(configs)
+        return [NoOscillation("not propagated")] * len(bundles)
 
-    monkeypatch.setattr(analysis, "propagate_series", window)
-    _timeseries_omegas([config], [omega_ref])
+    monkeypatch.setattr(analysis, "_series", window)
+    _timeseries_omegas(*_timeseries_points([config]), [omega_ref])
     assert t_ends == [pytest.approx(periods * stride if periods else 8.0 * 2.0 * math.pi / omega_ref, rel=1e-15)]
 
 
@@ -261,7 +340,7 @@ def test_timeseries_without_a_finite_window_raises_no_oscillation(omega_ref):
     # 8 periods of a zero, subnormal or NaN reference are no finite window:
     # a typed error, which a scan row records as timeseries:NoOscillation
     config = validate(load_config(CONFIGS / "odd-harmonic.cfg"))
-    (got,) = _timeseries_omegas([config], [omega_ref])
+    (got,) = _timeseries_omegas(*_timeseries_points([config]), [omega_ref])
     assert isinstance(got, NoOscillation)
     assert str(got).startswith("no finite 8-period window")
 
@@ -298,7 +377,8 @@ def test_xi_scan_within_stated_bounds_of_lab_route():
     probe = [i for i in range(len(rows)) if sized[i]][::5]
     with lab_frame():
         lab = run_scan(replace(spec, methods=("perturbative", "monodromy"))).rows
-        lab_ts = _timeseries_omegas([spec.config_at(spec.grid[i]) for i in probe], [rows[i].perturbative for i in probe])
+        lab_ts = _timeseries_omegas(*_timeseries_points([spec.config_at(spec.grid[i]) for i in probe]),
+                                    [rows[i].perturbative for i in probe])
     for row, ref, ok in zip(rows, lab, sized):
         assert row.errors == ()
         assert (row.perturbative, row.eta, row.p1_norm_max) == (ref.perturbative, ref.eta, ref.p1_norm_max)
@@ -308,7 +388,8 @@ def test_xi_scan_within_stated_bounds_of_lab_route():
     # with the lab route's window (sized from first order) the fitted time
     # series moves by no more than the monodromy
     assert len(probe) >= 3
-    got = _timeseries_omegas([spec.config_at(spec.grid[i]) for i in probe], [rows[i].perturbative for i in probe])
+    got = _timeseries_omegas(*_timeseries_points([spec.config_at(spec.grid[i]) for i in probe]),
+                             [rows[i].perturbative for i in probe])
     for have, want in zip(got, lab_ts):
         assert abs(have - want) <= 1e-10 * omega
 
@@ -424,24 +505,66 @@ def test_scan_rows_across_the_p1_table_edge_equal_one_point_scans():
 
 
 def test_scan_integrates_the_grid_in_batched_passes(monkeypatch):
-    # 20-point odd-harmonic xi scan, three methods: 83 point-levels (40 at
-    # 128 steps, 40 at 256, 3 at 512), which point by point took 83 _grid
-    # calls.  Batched, each level of each column takes one call per pass of
-    # up to _PASS_NODES // steps points: 3 + 5 for the monodromy, 3 + 5 + 2
-    # for the time series.
+    # 20-point odd-harmonic xi scan, three methods: the monodromy column
+    # integrates 40 point-levels (20 at 128 steps, 20 at 256) and puts each
+    # grid into the scan's store; the time-series column takes those 40 out
+    # and integrates only the 3 levels past them (512 steps).  Point by point
+    # and without the store this took 83 _grid calls.  Batched, each level
+    # takes one call per pass of up to _PASS_NODES // steps points: one per
+    # level here, and no (point, steps) grid is integrated twice.
     calls = []
     grid = propagate._grid
 
     def counting(bundles, steps):
-        calls.append((len(bundles), steps))
+        calls.append((list(bundles), steps))
         return grid(bundles, steps)
 
     monkeypatch.setattr(propagate, "_grid", counting)
     config = validate(load_config(CONFIGS / "odd-harmonic.cfg"))
-    run_scan(ScanSpec(swept="xi", grid=tuple(np.linspace(0.58, 4.98, 20)), base=config, methods=ALL_METHODS))
-    assert sum(points for points, _ in calls) == 83
-    assert len(calls) == 18
-    assert all(points <= max(1, propagate._PASS_NODES // steps) for points, steps in calls)
+    values = tuple(np.linspace(0.58, 4.98, 20))
+    run_scan(ScanSpec(swept="xi", grid=values, base=config, methods=ALL_METHODS))
+    assert [(len(bundles), steps) for bundles, steps in calls] == [(20, 128), (20, 256), (3, 512)]
+    assert all(len(bundles) <= max(1, propagate._PASS_NODES // steps) for bundles, steps in calls)
+    integrated = [(bundle, steps) for bundles, steps in calls for bundle in bundles]
+    assert len(set(integrated)) == len(integrated) == 43
+    assert len({bundle for bundle, _ in integrated}) == len(values)
+
+
+def test_scan_reduces_each_point_to_its_bundle_once(monkeypatch):
+    # 20-point odd-harmonic xi scan, three methods: each point is validated
+    # by its one dimensionless() call and by rectified_field, 40 calls; the
+    # P1 table and both numeric columns read the scan's bundles (100 calls
+    # when each of them reduced the configuration again)
+    config = validate(load_config(CONFIGS / "odd-harmonic.cfg"))
+    spec = ScanSpec(swept="xi", grid=tuple(np.linspace(0.58, 4.98, 20)), base=config, methods=ALL_METHODS)
+    calls = []
+    check = config_module.validate
+
+    def counting(config):
+        calls.append(config)
+        return check(config)
+
+    monkeypatch.setattr(config_module, "validate", counting)
+    monkeypatch.setattr(analysis, "validate", counting)
+    rows = run_scan(spec).rows
+    assert not any(row.errors for row in rows)
+    assert len(calls) == 40
+    assert len(set(calls)) == 20
+
+
+@pytest.mark.parametrize("band", [(0.58, 4.98, 20), (3.37, 3.51, 57)], ids=["xi-crosscheck", "dense-band"])
+def test_scan_cells_are_those_of_each_column_without_the_store(band):
+    # the scan's grid store hands the time-series column the monodromy
+    # column's grids; every cell is, to the last bit, what the public
+    # monodromy batch and the time-series column without a store give
+    config = validate(load_config(CONFIGS / "odd-harmonic.cfg"))
+    spec = ScanSpec(swept="xi", grid=tuple(np.linspace(*band)), base=config, methods=ALL_METHODS)
+    rows = run_scan(spec).rows
+    configs = [spec.config_at(value) for value in spec.grid]
+    monodromy = [qe.omega_L_numeric for qe in monodromy_quasienergies(configs)]
+    assert not any(row.errors for row in rows)
+    assert [row.monodromy for row in rows] == monodromy
+    assert [row.timeseries for row in rows] == _timeseries_omegas(*_timeseries_points(configs), monodromy)
 
 
 CAL_GRID = tuple(w * KHZ for w in (0.0, 1.5, 3.0, 4.5, 6.0, 7.5, 9.0, 10.5, 12.0, 13.5, 15.0))

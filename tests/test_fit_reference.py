@@ -154,27 +154,23 @@ def test_extract_frequency_lands_on_the_two_callback_route(monkeypatch):
     # methods; seen: 6.5e-11 relative at most.  A stroboscopic series fits to
     # rounding, and its standard error is then rounding noise of order
     # 1e-12 rad/s on either route, hence the absolute part of that bound
-    seen, start = [], []
-    extract, solve = analysis.extract_frequency, analysis.least_squares
+    # (the scan's time-series column fits each series through
+    # _fit_frequency, from the start that its batched spectral pass found)
+    seen = []
+    fit_frequency = analysis._fit_frequency
 
-    def recording_extract(series):
-        estimate = extract(series)
-        seen.append((series, list(start), estimate))
+    def recording_fit(t, y, start):
+        estimate = fit_frequency(t, y, start)
+        seen.append((t, y, list(start), estimate))
         return estimate
 
-    def recording_solve(normal, x0, rows):
-        start[:] = x0
-        return solve(normal, x0, rows)
-
-    monkeypatch.setattr(analysis, "extract_frequency", recording_extract)
-    monkeypatch.setattr(analysis, "least_squares", recording_solve)
+    monkeypatch.setattr(analysis, "_fit_frequency", recording_fit)
     base = load_config(CONFIGS / "odd-harmonic.cfg")
     grid = [0.6 + i * (5.0 - 0.6) / 19 for i in range(20)]
     rows = run_scan(ScanSpec("xi", grid, base, analysis.METHODS)).rows
     assert len(seen) == 20 and not any(row.errors for row in rows)
 
-    for series, x0, estimate in seen:
-        t, y = series.times, series.sx
+    for t, y, x0, estimate in seen:
 
         def residuals(params):
             c, a, om = params

@@ -208,16 +208,23 @@ def test_floquet_splitting_breaks_ties_at_the_lowest_fft_index(single, splitting
     # Column 0, (cos 2tau, i sin 2tau), weighs the same at harmonic +2 (FFT
     # index 2) and -2 (index 6), and the rule shifts its eps to -2.  Column 1,
     # (0, exp(+-2i tau)), sits at +-2 alone, so the other tie choice would
-    # swap the two splittings.
+    # swap the two splittings.  In a batch beside a grid with no tie, whose
+    # columns (exp(2i tau), 0) and (0, 1) sit at +2 and 0 alone, each point
+    # keeps its own splitting.
     steps = 8
     u = np.array([1, 1j, -1, -1j] * 2 + [1])  # exp(2i tau_n), tau_n = 2 pi n/8
-    grid = np.zeros((2, 2, steps + 1), dtype=complex)
-    grid[0, 0] = (u + u.conj()) / 2
-    grid[1, 0] = (u - u.conj()) / 2
-    grid[1, 1] = u if single == 1 else u.conj()
-    weight = np.sum(np.abs(np.fft.fft(grid[:, :, :-1])) ** 2, axis=0)
-    assert weight[0, 2] == weight[0, 6] == weight[0].max()
-    assert propagate._floquet_splitting(grid) == splitting
+    grid = np.zeros((2, 2, 2, steps + 1), dtype=complex)
+    grid[0, 0, 0] = (u + u.conj()) / 2
+    grid[1, 0, 0] = (u - u.conj()) / 2
+    grid[1, 1, 0] = u if single == 1 else u.conj()
+    grid[0, 0, 1] = u
+    grid[1, 1, 1] = 1.0
+    weight = np.sum(np.abs(np.fft.fft(grid[..., :-1])) ** 2, axis=0)
+    assert weight[0, 0, 2] == weight[0, 0, 6] == weight[0, 0].max()
+    assert np.sum(weight[:, 1] == weight[:, 1].max(axis=-1, keepdims=True)) == 2
+    assert propagate._floquet_splitting(grid[:, :, :1]).tolist() == [splitting]
+    assert propagate._floquet_splitting(grid).tolist() == [splitting, 2.0]
+    assert propagate._floquet_splitting(grid[:, :, ::-1]).tolist() == [2.0, splitting]
 
 
 def test_monodromy_unitarity_lost_raised(monkeypatch):
