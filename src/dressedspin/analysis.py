@@ -223,9 +223,8 @@ def _timeseries_omegas(bundles, omegas, omega_refs, store=None):
     apart is cut down to whole drive periods between samples, so the
     micromotion is the same at every sample and cannot alias next to the
     Larmor line; cut down, not rounded, so no spacing grows.  One batch of
-    propagate._series over every point with a finite window, which takes
-    each grid it finds in store (filled by the monodromy column) instead of
-    integrating it; then extract_frequency's checks and starts as one array
+    propagate._series over every point with a finite window, with the scan's
+    grid store; then extract_frequency's checks and starts as one array
     pass over the (points, 256) sx batch, and one fit per point.  Returns
     per point the fitted frequency or the DressedSpinError it failed with;
     a reference of 0, or one so small that 8 periods are not a finite time,
@@ -264,11 +263,10 @@ def _scan_rows(spec: ScanSpec, values):
     """The rows of `values`, a contiguous run of the grid.
 
     The closed form runs point by point, and each valid point is reduced to
-    its dimensionless bundle once; then one batched P1 table, one batched
-    monodromy pass and one batched time-series pass read those bundles.
-    When both numeric columns run, they share one grid store for this call:
-    the monodromy pass puts every grid it integrates there, and the
-    time-series pass takes each one out instead of integrating it again.
+    its dimensionless bundle once; then one batched P1 table and the two
+    propagate cores read those bundles.  Only when both numeric columns run
+    do they get a grid store (see propagate._refine), from which the series
+    takes the monodromy's grids; alone, a store would only keep grids alive.
     """
     rows = [{"value": value, "errors": []} for value in values]
     valid, configs, bundles, window_refs = [], [], [], []
@@ -298,7 +296,7 @@ def _scan_rows(spec: ScanSpec, values):
         else:
             row["p1_norm_max"] = norm
 
-    store = {} if "timeseries" in spec.methods else None
+    store = {} if "monodromy" in spec.methods and "timeseries" in spec.methods else None
     if "monodromy" in spec.methods:
         for i, qe in enumerate(_quasienergies(bundles, omegas, store)):
             if isinstance(qe, DressedSpinError):
@@ -322,20 +320,18 @@ def run_scan(spec: ScanSpec, jobs: int = 1) -> ScanResult:
 
     The closed form runs point by point, and each valid point is reduced to
     its dimensionless bundle once; the P1 diagnostic is one batched Fourier
-    table over the grid (_p1_norm_maxes), and the monodromy and the
-    time-series columns each run as one batched propagation pass over the
-    grid, in which every point refines on its own.  When both columns run,
-    the time-series pass reads each (point, steps) grid the monodromy pass
-    integrated from a store that lives for the scan, so no grid is
+    table over the grid (_p1_norm_maxes), and the monodromy and time-series
+    columns are one batch each of their propagate core (_quasienergies,
+    _series), in which every point refines on its own.  When both columns
+    run, they share a grid store for the scan, so no (point, steps) grid is
     integrated twice; the cells are those of each column run alone, to the
     last bit.  Per-point failures are recorded as error tokens in the row
     and the scan continues.  Every row is a pure function of (spec, value),
     equal field by field to the row of the one-point scan at that value, so
     rows come back alike in grid order regardless of jobs; jobs > 1 gives
-    each worker process one contiguous chunk of the grid, and each chunk is
-    one batched pass with its own store.  The monodromy column is the
-    per-point Floquet-mode value of monodromy_quasienergy, not a value
-    unfolded along the grid.
+    each worker process one contiguous chunk of the grid, run as above.
+    The monodromy column is the per-point Floquet-mode value of
+    monodromy_quasienergy, not a value unfolded along the grid.
     """
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor

@@ -40,17 +40,16 @@ integration regardless of duration, plus about log2(k) binary powers of M.
 Every layer carries a batch axis over points, one configuration each: the
 field, the Magnus steps and the grid are (..., points, n) stacks, and
 _refine keeps a per-point mask, so each point stops at its own refinement
-level and a point that fails gets its own typed error.
-monodromy_quasienergies and propagate_series integrate a whole batch, which
-is how scans run their monodromy and time-series columns;
-monodromy_quasienergy, propagate_spin_half and propagate_bloch_spin1 are
-their batches of one.  A level runs in passes of at most _PASS_NODES // N
-points, so the working memory does not grow with the batch, and every value
-of a point is the value of its batch of one, to the last bit.  A scan runs
-both columns through the private cores _quasienergies and _series, which
-take the dimensionless bundles and share one grid store: the monodromy
-column puts every grid it integrates there, keyed by bundle and steps, and
-the time-series column takes each out instead of integrating it again.
+level and a point that fails gets its own typed error.  Two batch cores take
+the points' dimensionless bundles and dressing frequencies: _quasienergies
+(the monodromy) and _series (the sampled <sigma>).  A scan runs its
+monodromy and time-series columns through them, and monodromy_quasienergy,
+propagate_spin_half and propagate_bloch_spin1 are their batches of one.  A
+level runs in passes of at most _PASS_NODES // N points, so the working
+memory does not grow with the batch, and every value of a point is the
+value of its batch of one, to the last bit.  Both cores may share one grid
+store, keyed by bundle and steps, under one rule: a pass takes each grid it
+finds there out of it, and puts each grid it integrates into it.
 """
 
 from dataclasses import dataclass
@@ -65,10 +64,8 @@ from .errors import DressedSpinError, NoConvergence, UnitarityLost
 __all__ = [
     "CoherenceSeries",
     "QuasiEnergy",
-    "propagate_series",
     "propagate_spin_half",
     "propagate_bloch_spin1",
-    "monodromy_quasienergies",
     "monodromy_quasienergy",
     "analytic_coherences",
 ]
@@ -214,19 +211,19 @@ def _integrate_targets(bundles, targets, grid):
 
 
 def _stored_grid(bundles, steps, store):
-    """_grid(bundles, steps), with each grid found in store at (bundle, steps) taken out of it instead of integrated."""
+    """_grid(bundles, steps), with each grid found in store at (bundle, steps) taken out of it and each grid integrated put into it."""
     found = [store.pop((bundle, steps), None) for bundle in bundles]
     missing = [i for i, grid in enumerate(found) if grid is None]
-    if len(missing) == len(bundles):
-        return _grid(bundles, steps)
     if missing:
         grid = _grid([bundles[i] for i in missing], steps)
         for j, i in enumerate(missing):
-            found[i] = grid[:, :, j]
+            found[i] = store[bundles[i], steps] = grid[:, :, j]
+        if len(missing) == len(bundles):
+            return grid
     return np.stack(found, axis=2)
 
 
-def _refine(bundles, run, name, fill=None, take=None):
+def _refine(bundles, run, name, store=None):
     """The step-halving loop of every result of this module, in which every _grid call runs.
 
     Each pass integrates the grid of its points `rows` (an index array)
@@ -239,12 +236,12 @@ def _refine(bundles, run, name, fill=None, take=None):
     after the last refinement gets UnitarityLost if its last drift is out
     of bounds, and NoConvergence if not.  A level runs in passes of at most
     _PASS_NODES // steps points (at least one), so a pass's memory does not
-    grow with the batch.  fill and take are grid stores, dicts keyed by
-    (bundle, steps): a pass puts each grid it integrates into fill, and
-    takes each grid it finds in take out of it instead of integrating it.
-    A grid depends on its bundle and steps alone, to the last bit, so a grid
-    from the store is the grid the pass would integrate.  Returns each
-    bundle's result or error, in order.
+    grow with the batch.  store, if given, is a dict keyed by (bundle,
+    steps): a pass takes each grid it finds there out of it instead of
+    integrating it, and puts each grid it integrates into it.  A grid
+    depends on its bundle and steps alone, to the last bit, so a grid from
+    the store is the grid the pass would integrate.  Returns each bundle's
+    result or error, in order.
     """
     out = [None] * len(bundles)
     rows = np.arange(len(bundles))
@@ -257,9 +254,7 @@ def _refine(bundles, run, name, fill=None, take=None):
         for i in range(0, rows.size, size):
             part = rows[i : i + size]
             points = [bundles[p] for p in part]
-            grid = _grid(points, steps) if take is None else _stored_grid(points, steps, take)
-            if fill is not None:
-                fill.update(((bundle, steps), grid[:, :, j]) for j, bundle in enumerate(points))
+            grid = _grid(points, steps) if store is None else _stored_grid(points, steps, store)
             values, scale, part_drift, results = run(grid, part)
             if level:
                 part_err = np.max(np.abs(values - prev[i : i + size]).reshape(part.size, -1), axis=1)
@@ -284,8 +279,9 @@ def _refine(bundles, run, name, fill=None, take=None):
     return out
 
 
-def _raised(result):
-    """result, or raise it if it is an error."""
+def _alone(core, config, *args):
+    """core(bundles, omegas, *args) on the batch of config alone: its result, or its error raised."""
+    (result,) = core([dimensionless(config)], [config.dressing.omega], *args)
     if isinstance(result, DressedSpinError):
         raise result
     return result
@@ -349,10 +345,12 @@ def _coherences_from_states(states):
 
 
 def _series(bundles, omegas, t_ends, samples, store=None):
-    """The core of propagate_series on dimensionless bundles, with omegas their dressing frequencies.
+    """The sampled <sigma>(t) from _PSI0 of each dimensionless bundle, with omegas their dressing frequencies.
 
-    Each pass takes the grids it finds in store (a dict keyed by bundle and
-    steps, filled by _quasienergies) out of it instead of integrating them.
+    Each series has `samples` times from 0 to its own t_end, and each point
+    is step-halved on its own until its series settles and its drift
+    | |<sigma>| - 1 | (|psi|^2 - 1, which for spin one is |M| - 1) is within
+    _DRIFT_TOL.  Returns per bundle its CoherenceSeries or its error.
     """
     times = np.array([_sample_times(t_end, samples) for t_end in t_ends])
     taus = times * np.array(omegas, dtype=float)[:, None]
@@ -368,22 +366,7 @@ def _series(bundles, omegas, t_ends, samples, store=None):
 
         return values, np.maximum(1.0, np.max(np.abs(values), axis=(1, 2))), drift, results
 
-    return _refine(bundles, run, "series", take=store)
-
-
-def propagate_series(configs, t_ends, samples: int) -> list:
-    """The sampled <sigma>(t) from _PSI0 of each configuration, integrated as one batch.
-
-    Each series has `samples` times from 0 to its own t_end.  Every point is
-    step-halved on its own until its series settles AND its drift
-    | |<sigma>| - 1 | is within _DRIFT_TOL.  Long runs accumulate drift
-    through the monodromy powers, so conservation is part of the
-    convergence criterion rather than an afterthought.  |<sigma>| = |psi|^2,
-    which for spin one is |M|.  Returns per configuration its
-    CoherenceSeries, or the UnitarityLost or NoConvergence it failed with.
-    """
-    return _series([dimensionless(config) for config in configs], [config.dressing.omega for config in configs],
-                   t_ends, samples)
+    return _refine(bundles, run, "series", store)
 
 
 def propagate_spin_half(config: DriveConfiguration, t_end: float, samples: int) -> CoherenceSeries:
@@ -392,9 +375,9 @@ def propagate_spin_half(config: DriveConfiguration, t_end: float, samples: int) 
     The spin starts in the +1 sigma_x eigenstate (1, 1)/sqrt(2), as in
     analytic_coherences.  The drift | |<sigma>| - 1 | is monitored over the
     whole run, and drift past _DRIFT_TOL (1e-9) raises UnitarityLost.  This
-    is propagate_series on a batch of one.
+    is _series on a batch of one.
     """
-    return _raised(propagate_series([config], [t_end], samples)[0])
+    return _alone(_series, config, [t_end], samples)
 
 
 def propagate_bloch_spin1(config: DriveConfiguration, t_end: float, samples: int) -> CoherenceSeries:
@@ -408,7 +391,7 @@ def propagate_bloch_spin1(config: DriveConfiguration, t_end: float, samples: int
     """
     if config.spin != "one":
         raise ValueError("propagate_bloch_spin1 requires a spin='one' configuration")
-    return _raised(propagate_series([config], [t_end], samples)[0])
+    return _alone(_series, config, [t_end], samples)
 
 
 def _floquet_splitting(grid):
@@ -430,10 +413,15 @@ def _floquet_splitting(grid):
 
 
 def _quasienergies(bundles, omegas, store=None):
-    """The core of monodromy_quasienergies on dimensionless bundles, with omegas their dressing frequencies.
+    """Larmor frequency of each dimensionless bundle from its one-period propagator, with omegas their dressing frequencies.
 
-    Every grid a pass integrates is put into store (a dict keyed by bundle
-    and steps), where _series finds it.
+    The monodromy M = U~(2 pi) is the same 2x2 matrix for both spins, and
+    its eigenphases +-theta fix Omega_L only as theta*omega/pi modulo
+    2 omega and up to sign.  Each point is step-halved on its own until that
+    folded value moves by at most _REL_TOL * omega with a unitarity error
+    within _DRIFT_TOL; its accepted grid then unfolds the value by the
+    Floquet modes (see QuasiEnergy).  Returns per bundle its QuasiEnergy or
+    its error.
     """
     omegas = np.array(omegas, dtype=float)
 
@@ -450,33 +438,16 @@ def _quasienergies(bundles, omegas, store=None):
 
         return theta * omegas[rows] / math.pi, omegas[rows], unit_err, results
 
-    return _refine(bundles, run, "monodromy", fill=store)
-
-
-def monodromy_quasienergies(configs) -> list:
-    """Larmor frequency of each configuration from its one-period propagator, integrated as one batch.
-
-    The dressing phase closes after one period, so the monodromy M is the
-    dressing-frame U~(2 pi), the same 2x2 matrix for both spins.  Its
-    eigenphases +-theta fix Omega_L only as theta*omega/pi modulo 2 omega
-    and up to sign; each point is step-halved on its own until that folded
-    value moves by at most _REL_TOL * omega with a monodromy unitarity error
-    within _DRIFT_TOL, and an error still past it after the last refinement
-    gives UnitarityLost.  The accepted grid then unfolds the value by the
-    Floquet modes (see QuasiEnergy), for all points of a pass at once.  The
-    result does not depend on config.spin.  Returns per configuration its
-    QuasiEnergy, or the UnitarityLost or NoConvergence it failed with.
-    """
-    return _quasienergies([dimensionless(config) for config in configs], [config.dressing.omega for config in configs])
+    return _refine(bundles, run, "monodromy", store)
 
 
 def monodromy_quasienergy(config: DriveConfiguration) -> QuasiEnergy:
     """Larmor frequency from the propagator over exactly one drive period.
 
-    The batch of one of monodromy_quasienergies: an error past the last
-    refinement is raised.
+    _quasienergies on a batch of one: the result does not depend on
+    config.spin, and an error past the last refinement is raised.
     """
-    return _raised(monodromy_quasienergies([config])[0])
+    return _alone(_quasienergies, config)
 
 
 def analytic_coherences(

@@ -26,7 +26,7 @@ from dressedspin.configfile import apply_overrides, load_config
 from dressedspin.effective import bare_precession, larmor_frequency
 from dressedspin.errors import DegenerateData, FitDiverged, NoOscillation
 from dressedspin.fitting import bisect_root
-from dressedspin.propagate import CoherenceSeries, monodromy_quasienergies, monodromy_quasienergy, propagate_spin_half
+from dressedspin.propagate import CoherenceSeries, _quasienergies, monodromy_quasienergy, propagate_spin_half
 from dressedspin.special import bessel_j
 
 from conftest import KHZ, fold, lab_frame, make_config
@@ -552,16 +552,48 @@ def test_scan_reduces_each_point_to_its_bundle_once(monkeypatch):
     assert len(set(calls)) == 20
 
 
+@pytest.mark.parametrize("methods", [("timeseries",), ("perturbative", "monodromy"), ALL_METHODS])
+def test_scan_shares_a_grid_store_only_between_the_two_numeric_columns(methods, monkeypatch):
+    # a store would only keep a lone column's grids alive until the scan
+    # ends; with both columns, the two share one and each (point, steps)
+    # grid is integrated once
+    stores, calls = [], []
+    refine, grid = propagate._refine, propagate._grid
+
+    def recording(bundles, run, name, store=None):
+        stores.append((name, store))
+        return refine(bundles, run, name, store)
+
+    def counting(bundles, steps):
+        calls.extend((bundle, steps) for bundle in bundles)
+        return grid(bundles, steps)
+
+    monkeypatch.setattr(propagate, "_refine", recording)
+    monkeypatch.setattr(propagate, "_grid", counting)
+    config = validate(load_config(CONFIGS / "odd-harmonic.cfg"))
+    spec = ScanSpec(swept="xi", grid=tuple(np.linspace(0.58, 4.98, 20)), base=config, methods=methods)
+    rows = run_scan(spec).rows
+    assert not any(row.errors for row in rows)
+    assert len(set(calls)) == len(calls)
+    if methods != ALL_METHODS:
+        assert [store for _, store in stores] == [None]
+        return
+    (_, store), (_, shared) = stores
+    assert [name for name, _ in stores] == ["monodromy", "series"]
+    assert store is shared and len(calls) == 43
+    assert set(store) <= set(calls)
+
+
 @pytest.mark.parametrize("band", [(0.58, 4.98, 20), (3.37, 3.51, 57)], ids=["xi-crosscheck", "dense-band"])
 def test_scan_cells_are_those_of_each_column_without_the_store(band):
     # the scan's grid store hands the time-series column the monodromy
-    # column's grids; every cell is, to the last bit, what the public
-    # monodromy batch and the time-series column without a store give
+    # column's grids; every cell is, to the last bit, what the monodromy
+    # core and the time-series column give without a store
     config = validate(load_config(CONFIGS / "odd-harmonic.cfg"))
     spec = ScanSpec(swept="xi", grid=tuple(np.linspace(*band)), base=config, methods=ALL_METHODS)
     rows = run_scan(spec).rows
     configs = [spec.config_at(value) for value in spec.grid]
-    monodromy = [qe.omega_L_numeric for qe in monodromy_quasienergies(configs)]
+    monodromy = [qe.omega_L_numeric for qe in _quasienergies(*_timeseries_points(configs))]
     assert not any(row.errors for row in rows)
     assert [row.monodromy for row in rows] == monodromy
     assert [row.timeseries for row in rows] == _timeseries_omegas(*_timeseries_points(configs), monodromy)

@@ -186,11 +186,12 @@ def test_batch_gives_each_point_its_own_result_or_error(monkeypatch):
     # its type and message
     monkeypatch.setattr(propagate, "_MAX_REFINEMENTS", 1)
     configs = [make_config(9.0, xi=xi, w0_khz=(0, 0, 25.0), tuning=(("y", 4.97, 1, math.pi / 2),)) for xi in (0.5, 2.0)]
+    bundles, omegas = [dimensionless(c) for c in configs], [c.dressing.omega for c in configs]
     for batch, single in (
-        (propagate.monodromy_quasienergies, monodromy_quasienergy),
-        (lambda cs: propagate.propagate_series(cs, [3e-4] * 2, 300), lambda c: propagate_spin_half(c, 3e-4, 300)),
+        (lambda: propagate._quasienergies(bundles, omegas), monodromy_quasienergy),
+        (lambda: propagate._series(bundles, omegas, [3e-4] * 2, 300), lambda c: propagate_spin_half(c, 3e-4, 300)),
     ):
-        ok, failed = batch(configs)
+        ok, failed = batch()
         alone = single(configs[0])
         assert type(ok) is type(alone)
         for name in alone.__dataclass_fields__:

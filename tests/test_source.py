@@ -8,17 +8,29 @@ import tokenize
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "dressedspin"
 
 
-def _private_module_names(tree):
-    """The private (single leading underscore, not dunder) names a module binds at its top level."""
+def _module_names(tree):
+    """The names a module binds at its top level: definitions, assignments and imports."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            names = [node.name]
+            yield node.name
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            names = [n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name)]
-        else:
-            continue
-        yield from (name for name in names if name.startswith("_") and not name.endswith("__"))
+            yield from (n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield from ((alias.asname or alias.name).partition(".")[0] for alias in node.names)
+
+
+def _private_module_names(tree):
+    """The private (single leading underscore, not dunder) names a module binds at its top level."""
+    return (name for name in _module_names(tree) if name.startswith("_") and not name.endswith("__"))
+
+
+def _exports(tree):
+    """The names listed in a module's top-level __all__, or none."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            return ast.literal_eval(node.value)
+    return []
 
 
 def test_every_private_module_name_is_used_in_the_package():
@@ -36,3 +48,13 @@ def test_every_private_module_name_is_used_in_the_package():
         if uses[name] < 2
     ]
     assert unused == []
+
+
+def test_every_export_is_bound_in_its_module():
+    # a deletion that leaves its name in __all__ breaks `from module import *`
+    unbound = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = set(_module_names(tree))
+        unbound += [f"{path.name}: {name}" for name in _exports(tree) if name not in names]
+    assert unbound == []
